@@ -6,9 +6,13 @@
 
      branch_align run --workload espresso --algo try15 --arch fallthrough
      branch_align list
-     branch_align dump-cfg --workload alvinn --proc 1 *)
+     branch_align dump-cfg --workload alvinn --proc 1
+
+   The pipeline itself lives in Ba_report.Query, which the server renders
+   as JSON; the commands here render the same results as ASCII tables. *)
 
 open Cmdliner
+module Query = Ba_report.Query
 
 let parse_core_algo s =
   Result.map_error (fun e -> `Msg e) (Ba_core.Align.algo_of_name s)
@@ -17,21 +21,10 @@ let algo_conv =
   let print ppf a = Fmt.string ppf (Ba_core.Align.algo_name a) in
   Arg.conv (parse_core_algo, print)
 
-(* The align command additionally accepts the annealing search, which
-   prices moves through Ba_delta's incremental model and therefore lives
-   outside Ba_core.Align.algo. *)
-type align_algo = Core of Ba_core.Align.algo | Anneal
-
-let align_algo_name = function
-  | Core a -> Ba_core.Align.algo_name a
-  | Anneal -> "anneal"
-
+(* The align command additionally accepts the annealing search. *)
 let align_algo_conv =
-  let parse = function
-    | "anneal" -> Ok Anneal
-    | s -> Result.map (fun a -> Core a) (parse_core_algo s)
-  in
-  let print ppf a = Fmt.string ppf (align_algo_name a) in
+  let parse s = Result.map_error (fun e -> `Msg e) (Query.algo_of_name s) in
+  let print ppf a = Fmt.string ppf (Query.algo_name a) in
   Arg.conv (parse, print)
 
 let arch_conv =
@@ -55,9 +48,16 @@ let arch_arg =
   let doc = "Architectural cost model: fallthrough, btfnt, likely, pht, btb." in
   Arg.(value & opt arch_conv Ba_core.Cost_model.Btfnt & info [ "arch" ] ~doc)
 
+(* Like -j, a budget of zero or less is an error, never an empty run. *)
 let max_steps_arg =
   let doc = "Execution budget in semantic block visits." in
-  Arg.(value & opt int Ba_workloads.Spec.default_max_steps & info [ "max-steps" ] ~doc)
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Ba_workloads.Spec.max_steps_of_string s)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Fmt.int)) Ba_workloads.Spec.default_max_steps
+    & info [ "max-steps" ] ~doc)
 
 (* -j rejects zero/negative/garbage at parse time, mirroring the strict
    BA_JOBS handling: a bad job count is an error, never a silent default. *)
@@ -82,39 +82,52 @@ let lookup name =
     Printf.eprintf "unknown workload %S; try the list command\n" name;
     exit 1
 
-let bep_archs =
-  [
-    Ba_sim.Bep.Static_fallthrough;
-    Ba_sim.Bep.Static_btfnt;
-    Ba_sim.Bep.Pht_direct { entries = 4096 };
-    Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-    Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-  ]
+(* The matrix commands check one workload, or all of them. *)
+let selected = function
+  | Some name -> [ lookup name ]
+  | None -> Ba_workloads.Spec.all
+
+(* The per-architecture table of a simulation outcome. *)
+let render_sims (out : Ba_sim.Runner.outcome) =
+  let open Ba_util.Ascii_table in
+  let columns =
+    [
+      column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
+      column "mispredict"; column "BEP cycles";
+    ]
+  in
+  let row (arch, sim) =
+    let counts = Ba_sim.Bep.counts sim in
+    [
+      Ba_sim.Bep.arch_label arch;
+      float_cell ~decimals:1 (100.0 *. Ba_sim.Bep.cond_accuracy sim);
+      int_cell counts.Ba_sim.Bep.misfetches;
+      int_cell counts.Ba_sim.Bep.mispredicts;
+      int_cell (Ba_sim.Bep.bep sim);
+    ]
+  in
+  render ~columns ~rows:(List.map row (Array.to_list out.Ba_sim.Runner.sims))
 
 let run_cmd name algo arch interproc max_steps =
   let workload = lookup name in
   (* Record once, replay many: the memoized pass yields program + profile +
      semantic trace; both images below replay instead of re-interpreting. *)
   let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps workload in
-  let archs_for image =
-    Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile) :: bep_archs
-  in
-  let orig_image = Ba_layout.Image.original ~profile program in
-  let orig =
-    Ba_sim.Runner.simulate ~max_steps ~trace ~archs:(archs_for orig_image) orig_image
-  in
+  let simulate = Query.simulate_image ~max_steps ~trace profile in
+  let orig_image = Query.image Ba_core.Align.Original ~arch profile in
+  let orig = simulate orig_image in
   let orig_insns = orig.Ba_sim.Runner.result.Ba_exec.Engine.insns in
   let aligned_image =
     if interproc then
-      let decisions = Ba_core.Align.align_program algo ~arch profile in
+      let decisions =
+        Query.decisions ~anneal:Query.inline_anneal (Query.Core algo) ~arch profile
+      in
       (Ba_layout.Image.build_interproc ~profile program decisions)
         .Ba_layout.Image.image
-    else Ba_core.Align.image algo ~arch profile
+    else Query.image algo ~arch profile
   in
-  let aligned =
-    Ba_sim.Runner.simulate ~max_steps ~trace ~archs:(archs_for aligned_image)
-      aligned_image
-  in
+  let aligned = simulate aligned_image in
+  let aligned_insns = aligned.Ba_sim.Runner.result.Ba_exec.Engine.insns in
   Printf.printf "workload %s: %s  (algorithm %s, cost model %s%s)\n\n"
     workload.Ba_workloads.Spec.name workload.Ba_workloads.Spec.description
     (Ba_core.Align.algo_name algo)
@@ -122,36 +135,34 @@ let run_cmd name algo arch interproc max_steps =
     (if interproc then ", inter-procedural layout" else "");
   Printf.printf "instructions: %s -> %s  (code size %d -> %d)\n"
     (Ba_util.Ascii_table.int_cell orig_insns)
-    (Ba_util.Ascii_table.int_cell aligned.Ba_sim.Runner.result.Ba_exec.Engine.insns)
+    (Ba_util.Ascii_table.int_cell aligned_insns)
     orig_image.Ba_layout.Image.total_size aligned_image.Ba_layout.Image.total_size;
   Printf.printf "fall-through conditionals: %.1f%% -> %.1f%%\n\n"
     (Ba_exec.Trace_stats.pct_cond_fallthrough orig.Ba_sim.Runner.stats)
     (Ba_exec.Trace_stats.pct_cond_fallthrough aligned.Ba_sim.Runner.stats);
+  let open Ba_util.Ascii_table in
   let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "orig CPI"; column "aligned CPI";
-        column "gain%";
-      ]
+    [
+      column ~align:Left "architecture"; column "orig CPI"; column "aligned CPI";
+      column "gain%";
+    ]
+  in
+  let row (arch, osim) (_, asim) =
+    let ocpi = Ba_sim.Bep.relative_cpi osim ~insns:orig_insns ~orig_insns in
+    let acpi = Ba_sim.Bep.relative_cpi asim ~insns:aligned_insns ~orig_insns in
+    [
+      Ba_sim.Bep.arch_label arch;
+      float_cell ocpi;
+      float_cell acpi;
+      float_cell ~decimals:1 (100.0 *. (1.0 -. (acpi /. ocpi)));
+    ]
   in
   let rows =
-    List.map2
-      (fun (arch, osim) (_, asim) ->
-        let ocpi = Ba_sim.Bep.relative_cpi osim ~insns:orig_insns ~orig_insns in
-        let acpi =
-          Ba_sim.Bep.relative_cpi asim
-            ~insns:aligned.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ocpi;
-          Ba_util.Ascii_table.float_cell acpi;
-          Ba_util.Ascii_table.float_cell ~decimals:1 (100.0 *. (1.0 -. (acpi /. ocpi)));
-        ])
+    List.map2 row
       (Array.to_list orig.Ba_sim.Runner.sims)
       (Array.to_list aligned.Ba_sim.Runner.sims)
   in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+  print_string (render ~columns ~rows)
 
 (* Align one workload with any algorithm — including the seeded annealing
    search — and print a deterministic listing: per-procedure block orders,
@@ -162,129 +173,65 @@ let run_cmd name algo arch interproc max_steps =
    (seed, procedure) PRNG stream, so scheduling cannot perturb it. *)
 let align_cmd name algo arch seed sweeps max_steps jobs =
   let workload = lookup name in
-  let program, profile, trace =
-    Ba_workloads.Profiled.get_traced ~max_steps workload
+  let query pool =
+    Query.align ~anneal:{ Query.seed; sweeps; pool } algo ~arch ~max_steps workload
   in
-  let n = Ba_ir.Program.n_procs program in
-  let decisions =
+  let listing =
     match algo with
-    | Core Ba_core.Align.Original ->
-      Array.init n (fun p ->
-          Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-    | Core a -> Ba_core.Align.align_program a ~arch profile
-    | Anneal ->
-      Ba_par.Pool.with_pool ?jobs (fun pool ->
-          Array.of_list
-            (Ba_par.Pool.map pool
-               (fun pid ->
-                 Ba_delta.Anneal.align_proc ~seed ~sweeps ~arch profile pid)
-               (List.init n Fun.id)))
+    | Query.Anneal -> Ba_par.Pool.with_pool ?jobs (fun pool -> query (Some pool))
+    | Query.Core _ -> query None
   in
   Printf.printf "workload %s: algorithm %s, cost model %s%s\n"
-    workload.Ba_workloads.Spec.name (align_algo_name algo)
+    workload.Ba_workloads.Spec.name (Query.algo_name algo)
     (Ba_core.Cost_model.arch_name arch)
     (match algo with
-    | Anneal -> Printf.sprintf " (seed %d, %d sweeps)" seed sweeps
-    | Core _ -> "");
-  let total = ref 0.0 in
-  for p = 0 to n - 1 do
-    let proc = Ba_ir.Program.proc program p in
-    let d = decisions.(p) in
-    let cost =
-      Ba_delta.Model.total
-        (Ba_delta.Model.create ~arch
-           ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-           ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile p b)
-           proc d)
-    in
-    total := !total +. cost;
-    let order =
-      String.concat " "
-        (List.map string_of_int (Array.to_list d.Ba_layout.Decision.order))
-    in
-    let forced =
-      let parts = ref [] in
-      Array.iteri
-        (fun b leg ->
-          match leg with
-          | Some l ->
-            parts :=
-              Printf.sprintf "b%d:%s" b (Ba_layout.Decision.leg_name l)
-              :: !parts
-          | None -> ())
-        d.Ba_layout.Decision.neither;
-      if !parts = [] then ""
-      else "  forced " ^ String.concat " " (List.rev !parts)
-    in
-    Printf.printf "proc %d %s: order %s%s  cost %.1f\n" p proc.Ba_ir.Proc.name
-      order forced cost
-  done;
-  Printf.printf "total expected cost: %.1f\n" !total;
-  let spec = Ba_delta.Eval.spec_of_model arch in
-  let ev = Ba_delta.Eval.create ~specs:[| spec |] profile trace decisions in
-  Printf.printf "simulated penalty cycles (%s): %d\n"
-    (Ba_delta.Eval.spec_label spec)
-    (Ba_delta.Eval.cost_arch ev 0 decisions)
+    | Query.Anneal -> Printf.sprintf " (seed %d, %d sweeps)" seed sweeps
+    | Query.Core _ -> "");
+  List.iter
+    (fun (p : Query.proc_layout) ->
+      let forced =
+        match p.Query.forced with
+        | [] -> ""
+        | legs ->
+          "  forced "
+          ^ String.concat " "
+              (List.map
+                 (fun (b, leg) ->
+                   Printf.sprintf "b%d:%s" b (Ba_layout.Decision.leg_name leg))
+                 legs)
+      in
+      Printf.printf "proc %d %s: order %s%s  cost %.1f\n" p.Query.proc p.Query.name
+        (String.concat " " (List.map string_of_int (Array.to_list p.Query.order)))
+        forced p.Query.cost)
+    listing.Query.procs;
+  Printf.printf "total expected cost: %.1f\n" listing.Query.total_cost;
+  Printf.printf "simulated penalty cycles (%s): %d\n" listing.Query.penalty_model
+    listing.Query.penalty_cycles
 
 (* Profile, align (unless --algo orig) and simulate one workload, with the
    Ba_obs registry installed around the whole pipeline so every stage's
    counters, histograms and spans land in the report. *)
 let simulate_cmd name algo arch max_steps metrics =
   let workload = lookup name in
-  let registry =
-    match metrics with None -> None | Some _ -> Some (Ba_obs.Registry.create ())
+  let simulate () = Query.simulate algo ~arch ~max_steps workload in
+  let print (out : Ba_sim.Runner.outcome) =
+    Printf.printf
+      "workload %s, algorithm %s, cost model %s: %s branch events in %s \
+       instructions\n\n"
+      workload.Ba_workloads.Spec.name
+      (Ba_core.Align.algo_name algo)
+      (Ba_core.Cost_model.arch_name arch)
+      (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
+      (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
+    print_string (render_sims out)
   in
-  let collected f =
-    match registry with None -> f () | Some r -> Ba_obs.Registry.with_registry r f
-  in
-  let out =
-    collected (fun () ->
-        let program, profile, trace =
-          Ba_workloads.Profiled.get_traced ~max_steps workload
-        in
-        let image =
-          match algo with
-          | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-          | _ -> Ba_core.Align.image algo ~arch profile
-        in
-        let archs =
-          Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-          :: bep_archs
-        in
-        Ba_sim.Runner.simulate ~max_steps ~trace ~archs image)
-  in
-  Printf.printf "workload %s, algorithm %s, cost model %s: %s branch events in %s instructions\n\n"
-    workload.Ba_workloads.Spec.name
-    (Ba_core.Align.algo_name algo)
-    (Ba_core.Cost_model.arch_name arch)
-    (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
-    (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      (Array.to_list out.Ba_sim.Runner.sims)
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows);
-  match (metrics, registry) with
-  | Some format, Some r ->
+  match metrics with
+  | None -> print (simulate ())
+  | Some format ->
+    let registry = Ba_obs.Registry.create () in
+    print (Ba_obs.Registry.with_registry registry simulate);
     print_endline "\n== Pipeline metrics ==";
-    print_string (Ba_obs.Sink.emit format r)
-  | _ -> ()
+    print_string (Ba_obs.Sink.emit format registry)
 
 let hotspots_cmd name top max_steps =
   let workload = lookup name in
@@ -300,64 +247,7 @@ let hotspots_cmd name top max_steps =
     (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.insns);
   print_string (Ba_report.Hotspots.render ~k:top hot)
 
-let record_cmd name path max_steps =
-  let workload = lookup name in
-  let program = workload.Ba_workloads.Spec.build () in
-  let image = Ba_layout.Image.original program in
-  let result =
-    Ba_exec.Trace_io.record ~path (fun ~on_event ->
-        Ba_exec.Engine.run ~max_steps ~on_event image)
-  in
-  Printf.printf "recorded %s events (%s instructions) to %s\n"
-    (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.branches)
-    (Ba_util.Ascii_table.int_cell result.Ba_exec.Engine.insns)
-    path
-
-let replay_cmd path =
-  (* Replay a recorded trace through every architecture that needs no
-     image-side metadata. *)
-  let archs =
-    [
-      Ba_sim.Bep.Static_fallthrough;
-      Ba_sim.Bep.Static_btfnt;
-      Ba_sim.Bep.Pht_direct { entries = 4096 };
-      Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-      Ba_sim.Bep.Pht_global { history_bits = 12 };
-      Ba_sim.Bep.Pht_local { history_bits = 12; branch_entries = 1024 };
-      Ba_sim.Bep.Btb_arch { entries = 64; assoc = 2 };
-      Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-    ]
-  in
-  let sims = List.map (fun a -> (a, Ba_sim.Bep.create a)) archs in
-  let n =
-    Ba_exec.Trace_io.replay ~path (fun ev ->
-        List.iter (fun (_, sim) -> Ba_sim.Bep.on_event sim ev) sims)
-  in
-  Printf.printf "replayed %s events from %s\n\n" (Ba_util.Ascii_table.int_cell n) path;
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      sims
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
-
-(* Packed semantic traces on disk (magic BAST1): unlike the per-event files
-   of [record]/[replay] above, these store only the layout-independent
+(* Packed semantic traces on disk (magic BAST1): only the layout-independent
    decision stream — outcome bits plus switch/vcall varints — so one file
    replays against any layout of the program. *)
 
@@ -394,9 +284,10 @@ let trace_replay_cmd name path algo arch =
       (* Alignment needs the profile; reconstruct it with the one interpreter
          pass the trace was recorded from. *)
       let profile = Ba_exec.Engine.profile_program ~max_steps program in
-      Ba_core.Align.image algo ~arch profile
+      Query.image algo ~arch profile
   in
-  let out = Ba_sim.Runner.simulate ~trace ~archs:bep_archs image in
+  (* No profile for --algo orig, so no LIKELY bits: the profile-free list. *)
+  let out = Ba_sim.Runner.simulate ~trace ~archs:Query.replay_archs image in
   Printf.printf
     "replayed %s steps from %s through %s (algorithm %s): %s branch events in \
      %s instructions\n\n"
@@ -405,27 +296,7 @@ let trace_replay_cmd name path algo arch =
     (Ba_core.Align.algo_name algo)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.branches)
     (Ba_util.Ascii_table.int_cell out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "architecture"; column "accuracy%"; column "misfetch";
-        column "mispredict"; column "BEP cycles";
-      ]
-  in
-  let rows =
-    List.map
-      (fun (arch, sim) ->
-        [
-          Ba_sim.Bep.arch_label arch;
-          Ba_util.Ascii_table.float_cell ~decimals:1
-            (100.0 *. Ba_sim.Bep.cond_accuracy sim);
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.misfetches;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.counts sim).Ba_sim.Bep.mispredicts;
-          Ba_util.Ascii_table.int_cell (Ba_sim.Bep.bep sim);
-        ])
-      (Array.to_list out.Ba_sim.Runner.sims)
-  in
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+  print_string (render_sims out)
 
 let disasm_cmd name algo arch proc_id max_steps =
   let workload = lookup name in
@@ -445,7 +316,7 @@ let disasm_cmd name algo arch proc_id max_steps =
     Ba_isa.Codegen.of_image ~fp_fraction (Ba_layout.Image.original ~profile program)
   in
   let aligned =
-    Ba_isa.Codegen.of_image ~fp_fraction (Ba_core.Align.image algo ~arch profile)
+    Ba_isa.Codegen.of_image ~fp_fraction (Query.image algo ~arch profile)
   in
   print_string (Ba_isa.Disasm.side_by_side ~original ~aligned proc_id)
 
@@ -464,15 +335,17 @@ let format_arg =
   let doc = "Output format: the default ASCII table, or json." in
   Arg.(value & opt format_conv Table & info [ "format" ] ~doc)
 
-let diag_table_columns =
-  Ba_util.Ascii_table.
-    [
-      column ~align:Left "workload"; column ~align:Left "severity";
-      column ~align:Left "rule"; column ~align:Left "location";
-      column ~align:Left "message";
-    ]
-
 let plural n = if n = 1 then "" else "s"
+
+(* One workload's findings, as [lint] and [verify] report them: the caller
+   builds the table view's summary line and the JSON view's object; the
+   findings table, the totals and the JSON envelope are shared. *)
+type checked = {
+  workload : string;
+  diags : Ba_analysis.Diagnostic.t list;
+  line : string;
+  json : Ba_util.Json.t;
+}
 
 (* Info findings (the optimality audit and the conflict lint) can be
    numerous on purpose-poor layouts like orig; the table views cap them per
@@ -480,15 +353,85 @@ let plural n = if n = 1 then "" else "s"
    everything. *)
 let max_table_infos = 10
 
-let image_for algo arch profile program =
-  match algo with
-  | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-  | _ -> Ba_core.Align.image algo ~arch profile
+let diag_rows c =
+  let row d = c.workload :: Ba_analysis.Diagnostic.to_row d in
+  let infos = ref 0 in
+  let rows =
+    List.filter_map
+      (fun d ->
+        if d.Ba_analysis.Diagnostic.severity <> Ba_analysis.Diagnostic.Info then
+          Some (row d)
+        else begin
+          incr infos;
+          if !infos <= max_table_infos then Some (row d) else None
+        end)
+      c.diags
+  in
+  let hidden = !infos - max_table_infos in
+  if hidden <= 0 then rows
+  else
+    rows
+    @ [
+        [ c.workload; "info"; "..."; "...";
+          Printf.sprintf "(%d more info findings; use --format=json for all)"
+            hidden ];
+      ]
+
+(* Print every workload's findings and the totals; returns the error and
+   warning totals for the exit code. *)
+let render_checked ~command ~verb ~algo ~arch format checked =
+  let errors, warnings, infos =
+    List.fold_left
+      (fun (e, w, i) c ->
+        let e', w', i' = Ba_analysis.Diagnostic.count c.diags in
+        (e + e', w + w', i + i'))
+      (0, 0, 0) checked
+  in
+  (match format with
+  | Json ->
+    let open Ba_util.Json in
+    print_endline
+      (to_string
+         (Obj
+            [
+              ("command", String command);
+              ("algo", String (Ba_core.Align.algo_name algo));
+              ("arch", String (Ba_core.Cost_model.arch_name arch));
+              ( "totals",
+                Obj
+                  [
+                    ("errors", Int errors); ("warnings", Int warnings);
+                    ("infos", Int infos);
+                  ] );
+              ("workloads", List (List.map (fun c -> c.json) checked));
+            ]))
+  | Table ->
+    List.iter (fun c -> print_endline c.line) checked;
+    let columns =
+      Ba_util.Ascii_table.
+        [
+          column ~align:Left "workload"; column ~align:Left "severity";
+          column ~align:Left "rule"; column ~align:Left "location";
+          column ~align:Left "message";
+        ]
+    in
+    (match List.concat_map diag_rows checked with
+    | [] -> ()
+    | rows ->
+      print_newline ();
+      print_string (Ba_util.Ascii_table.render ~columns ~rows));
+    let n = List.length checked in
+    Printf.printf
+      "\n%s %d workload%s (algorithm %s, cost model %s): %d error%s, %d \
+       warning%s, %d info\n"
+      verb n (plural n)
+      (Ba_core.Align.algo_name algo)
+      (Ba_core.Cost_model.arch_name arch)
+      errors (plural errors) warnings (plural warnings) infos);
+  (errors, warnings)
 
 let lint_cmd workload algo arch strict format max_steps jobs =
-  let workloads =
-    match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
-  in
+  let workloads = selected workload in
   let reports =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool
@@ -505,7 +448,7 @@ let lint_cmd workload algo arch strict format max_steps jobs =
             let report =
               if Ba_analysis.Run.error_count report > 0 then report
               else begin
-                let image = image_for algo arch profile program in
+                let image = Query.image algo ~arch profile in
                 let conflict = Ba_conflict.Lint.check ~profile image in
                 let audit =
                   List.concat
@@ -533,104 +476,49 @@ let lint_cmd workload algo arch strict format max_steps jobs =
             (w, report))
           workloads)
   in
-  let total_errors = ref 0 and total_warnings = ref 0 and total_infos = ref 0 in
-  let rows = ref [] in
-  let json_workloads = ref [] in
-  List.iter
-    (fun ((w : Ba_workloads.Spec.t), report) ->
-      let diags = Ba_analysis.Run.diagnostics report in
-      let e, warn, i = Ba_analysis.Diagnostic.count diags in
-      total_errors := !total_errors + e;
-      total_warnings := !total_warnings + warn;
-      total_infos := !total_infos + i;
-      match format with
-      | Json ->
-        let open Ba_util.Json in
-        json_workloads :=
-          Obj
-            [
-              ("name", String w.Ba_workloads.Spec.name);
-              ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
-              ( "stages",
-                List
-                  (List.map
-                     (fun s ->
-                       Obj
-                         [
-                           ("stage", String (Ba_analysis.Run.stage_name s));
-                           ("ran", Bool (Ba_analysis.Run.ran report s));
-                         ])
-                     Ba_analysis.Run.all_stages) );
-              ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
-            ]
-          :: !json_workloads
-      | Table ->
-        let stages =
-          String.concat ","
-            (List.map
-               (fun s ->
-                 Ba_analysis.Run.stage_name s
-                 ^ if Ba_analysis.Run.ran report s then "" else "(skipped)")
-               Ba_analysis.Run.all_stages)
+  let checked =
+    List.map
+      (fun ((w : Ba_workloads.Spec.t), report) ->
+        let diags = Ba_analysis.Run.diagnostics report in
+        let e, warn, i = Ba_analysis.Diagnostic.count diags in
+        let stage s =
+          (Ba_analysis.Run.stage_name s, Ba_analysis.Run.ran report s)
         in
-        Printf.printf "%-12s %d error%s, %d warning%s, %d info  [%s]\n"
-          w.Ba_workloads.Spec.name e (plural e) warn (plural warn) i stages;
-        let shown = ref 0 and hidden = ref 0 in
-        List.iter
-          (fun d ->
-            if d.Ba_analysis.Diagnostic.severity <> Ba_analysis.Diagnostic.Info
-            then rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            else if !shown < max_table_infos then begin
-              incr shown;
-              rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            end
-            else incr hidden)
+        let stages = List.map stage Ba_analysis.Run.all_stages in
+        let open Ba_util.Json in
+        {
+          workload = w.Ba_workloads.Spec.name;
           diags;
-        if !hidden > 0 then
-          rows :=
-            [ w.Ba_workloads.Spec.name; "info"; "..."; "..."
-            ; Printf.sprintf "(%d more info findings; use --format=json for all)"
-                !hidden ]
-            :: !rows)
-    reports;
-  (match format with
-  | Json ->
-    let open Ba_util.Json in
-    print_endline
-      (to_string
-         (Obj
-            [
-              ("command", String "lint");
-              ("algo", String (Ba_core.Align.algo_name algo));
-              ("arch", String (Ba_core.Cost_model.arch_name arch));
-              ( "totals",
-                Obj
-                  [
-                    ("errors", Int !total_errors); ("warnings", Int !total_warnings);
-                    ("infos", Int !total_infos);
-                  ] );
-              ("workloads", List (List.rev !json_workloads));
-            ]))
-  | Table ->
-    if !rows <> [] then begin
-      print_newline ();
-      print_string
-        (Ba_util.Ascii_table.render ~columns:diag_table_columns ~rows:(List.rev !rows))
-    end;
-    Printf.printf
-      "\nlinted %d workload%s (algorithm %s, cost model %s): %d error%s, %d warning%s, %d info\n"
-      (List.length reports)
-      (plural (List.length reports))
-      (Ba_core.Align.algo_name algo)
-      (Ba_core.Cost_model.arch_name arch)
-      !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
-      !total_infos);
-  if !total_errors > 0 || (strict && !total_warnings > 0) then exit 1
+          line =
+            Printf.sprintf "%-12s %d error%s, %d warning%s, %d info  [%s]"
+              w.Ba_workloads.Spec.name e (plural e) warn (plural warn) i
+              (String.concat ","
+                 (List.map
+                    (fun (name, ran) -> if ran then name else name ^ "(skipped)")
+                    stages));
+          json =
+            Obj
+              [
+                ("name", String w.Ba_workloads.Spec.name);
+                ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
+                ( "stages",
+                  List
+                    (List.map
+                       (fun (name, ran) ->
+                         Obj [ ("stage", String name); ("ran", Bool ran) ])
+                       stages) );
+                ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
+              ];
+        })
+      reports
+  in
+  let errors, warnings =
+    render_checked ~command:"lint" ~verb:"linted" ~algo ~arch format checked
+  in
+  if errors > 0 || (strict && warnings > 0) then exit 1
 
 let verify_cmd workload algo arch strict no_audit interproc format max_steps jobs =
-  let workloads =
-    match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
-  in
+  let workloads = selected workload in
   (* The pool is handed both to the per-workload map and to each
      verify_pipeline: with many workloads the outer map parallelises and
      the inner per-architecture certification runs inline; with a single
@@ -650,96 +538,44 @@ let verify_cmd workload algo arch strict no_audit interproc format max_steps job
                 ~audit:(not no_audit) ~interproc ~algo ~pool program ))
           workloads)
   in
-  let total_errors = ref 0 and total_warnings = ref 0 and total_infos = ref 0 in
-  let rows = ref [] in
-  let json_workloads = ref [] in
-  List.iter
-    (fun ((w : Ba_workloads.Spec.t), result) ->
-      let diags = Ba_verify.Run.diagnostics result in
-      let e, warn, i = Ba_analysis.Diagnostic.count diags in
-      total_errors := !total_errors + e;
-      total_warnings := !total_warnings + warn;
-      total_infos := !total_infos + i;
-      match format with
-      | Json ->
+  let checked =
+    List.map
+      (fun ((w : Ba_workloads.Spec.t), result) ->
+        let diags = Ba_verify.Run.diagnostics result in
+        let e, warn, i = Ba_analysis.Diagnostic.count diags in
+        let certs = result.Ba_verify.Run.certificates in
+        let verified = result.Ba_verify.Run.verified in
         let open Ba_util.Json in
-        json_workloads :=
-          Obj
-            [
-              ("name", String w.Ba_workloads.Spec.name);
-              ("verified", Bool result.Ba_verify.Run.verified);
-              ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
-              ( "certificates",
-                List
-                  (List.map Ba_verify.Certificate.to_json
-                     result.Ba_verify.Run.certificates) );
-              ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
-            ]
-          :: !json_workloads
-      | Table ->
-        Printf.printf
-          "%-12s %s  %d certificate%s, %d error%s, %d warning%s, %d improvable \
-           site%s\n"
-          w.Ba_workloads.Spec.name
-          (if result.Ba_verify.Run.verified then "verified" else "NOT VERIFIED")
-          (List.length result.Ba_verify.Run.certificates)
-          (plural (List.length result.Ba_verify.Run.certificates))
-          e (plural e) warn (plural warn) i (plural i);
-        let shown = ref 0 and hidden = ref 0 in
-        List.iter
-          (fun d ->
-            if d.Ba_analysis.Diagnostic.severity <> Ba_analysis.Diagnostic.Info
-            then rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            else if !shown < max_table_infos then begin
-              incr shown;
-              rows := (w.Ba_workloads.Spec.name :: Ba_analysis.Diagnostic.to_row d) :: !rows
-            end
-            else incr hidden)
+        {
+          workload = w.Ba_workloads.Spec.name;
           diags;
-        if !hidden > 0 then
-          rows :=
-            [ w.Ba_workloads.Spec.name; "info"; "..."; "..."
-            ; Printf.sprintf "(%d more info findings; use --format=json for all)"
-                !hidden ]
-            :: !rows)
-    results;
-  (match format with
-  | Json ->
-    let open Ba_util.Json in
-    print_endline
-      (to_string
-         (Obj
-            [
-              ("command", String "verify");
-              ("algo", String (Ba_core.Align.algo_name algo));
-              ("arch", String (Ba_core.Cost_model.arch_name arch));
-              ( "totals",
-                Obj
-                  [
-                    ("errors", Int !total_errors); ("warnings", Int !total_warnings);
-                    ("infos", Int !total_infos);
-                  ] );
-              ("workloads", List (List.rev !json_workloads));
-            ]))
-  | Table ->
-    if !rows <> [] then begin
-      print_newline ();
-      print_string
-        (Ba_util.Ascii_table.render ~columns:diag_table_columns ~rows:(List.rev !rows))
-    end;
-    Printf.printf
-      "\nverified %d workload%s (algorithm %s, cost model %s): %d error%s, %d \
-       warning%s, %d info\n"
-      (List.length results)
-      (plural (List.length results))
-      (Ba_core.Align.algo_name algo)
-      (Ba_core.Cost_model.arch_name arch)
-      !total_errors (plural !total_errors) !total_warnings (plural !total_warnings)
-      !total_infos);
+          line =
+            Printf.sprintf
+              "%-12s %s  %d certificate%s, %d error%s, %d warning%s, %d \
+               improvable site%s"
+              w.Ba_workloads.Spec.name
+              (if verified then "verified" else "NOT VERIFIED")
+              (List.length certs) (plural (List.length certs)) e (plural e) warn
+              (plural warn) i (plural i);
+          json =
+            Obj
+              [
+                ("name", String w.Ba_workloads.Spec.name);
+                ("verified", Bool verified);
+                ("errors", Int e); ("warnings", Int warn); ("infos", Int i);
+                ("certificates", List (List.map Ba_verify.Certificate.to_json certs));
+                ("diagnostics", List (List.map Ba_analysis.Diagnostic.to_json diags));
+              ];
+        })
+      results
+  in
+  let errors, warnings =
+    render_checked ~command:"verify" ~verb:"verified" ~algo ~arch format checked
+  in
   let unverified =
     List.exists (fun (_, r) -> not r.Ba_verify.Run.verified) results
   in
-  if !total_errors > 0 || unverified || (strict && !total_warnings > 0) then exit 1
+  if errors > 0 || unverified || (strict && warnings > 0) then exit 1
 
 (* Static predictor-interference analysis: evaluate every predictor
    structure's pure indexing function over the aligned image's address map,
@@ -760,6 +596,15 @@ let analyze_arches =
     Ba_core.Cost_model.Likely; Ba_core.Cost_model.Pht; Ba_core.Cost_model.Btb;
   ]
 
+(* Every (workload, algorithm, cost model) cell, narrowed by the options. *)
+let matrix workload algo arch =
+  let algos = match algo with Some a -> [ a ] | None -> analyze_algos in
+  let arches = match arch with Some a -> [ a ] | None -> analyze_arches in
+  List.concat_map
+    (fun w ->
+      List.concat_map (fun al -> List.map (fun ar -> (w, al, ar)) arches) algos)
+    (selected workload)
+
 type placement_outcome = {
   p_before : int;
   p_after : int;
@@ -779,11 +624,7 @@ type analyze_cell = {
 let analyze_eval ~max_steps ~do_place (w, al, ar) =
   let program, profile = Ba_workloads.Profiled.get ~max_steps w in
   let decisions =
-    match al with
-    | Ba_core.Align.Original ->
-      Array.init (Ba_ir.Program.n_procs program) (fun p ->
-          Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-    | _ -> Ba_core.Align.align_program al ~arch:ar profile
+    Query.decisions ~anneal:Query.inline_anneal (Query.Core al) ~arch:ar profile
   in
   let image = Ba_layout.Image.build ~profile program decisions in
   let cell_reports = Ba_conflict.Analyze.analyze ~profile image in
@@ -827,19 +668,7 @@ let structure_matrix_cell (r : Ba_conflict.Analyze.report) =
         (if s.Ba_conflict.Analyze.overflow_possible then "!" else ""))
 
 let analyze_cmd workload algo arch do_place format max_steps jobs =
-  let workloads =
-    match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
-  in
-  let algos = match algo with Some a -> [ a ] | None -> analyze_algos in
-  let arches = match arch with Some a -> [ a ] | None -> analyze_arches in
-  let cells =
-    List.concat_map
-      (fun w ->
-        List.concat_map
-          (fun al -> List.map (fun ar -> (w, al, ar)) arches)
-          algos)
-      workloads
-  in
+  let cells = matrix workload algo arch in
   let cells =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool (analyze_eval ~max_steps ~do_place) cells)
@@ -959,8 +788,8 @@ type bound_cell = {
 }
 
 let bound_eval ~max_steps (w, al, ar) =
-  let program, profile = Ba_workloads.Profiled.get ~max_steps w in
-  let image = image_for al ar profile program in
+  let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
+  let image = Query.image al ~arch:ar profile in
   let sim_arch = Ba_bound.Analyze.arch_of_model ar ~profile image in
   {
     b_workload = w;
@@ -984,19 +813,7 @@ let bound_row_json (r : Ba_bound.Analyze.row) =
     ]
 
 let bound_cmd workload algo arch format max_steps jobs =
-  let workloads =
-    match workload with Some name -> [ lookup name ] | None -> Ba_workloads.Spec.all
-  in
-  let algos = match algo with Some a -> [ a ] | None -> analyze_algos in
-  let arches = match arch with Some a -> [ a ] | None -> analyze_arches in
-  let cells =
-    List.concat_map
-      (fun w ->
-        List.concat_map
-          (fun al -> List.map (fun ar -> (w, al, ar)) arches)
-          algos)
-      workloads
-  in
+  let cells = matrix workload algo arch in
   let cells =
     Ba_par.Pool.with_pool ?jobs (fun pool ->
         Ba_par.Pool.map pool (bound_eval ~max_steps) cells)
@@ -1187,16 +1004,6 @@ let () =
       & opt (some string) None
       & info [ "trace" ] ~doc:"Path of the binary trace file.")
   in
-  let record =
-    Cmd.v
-      (Cmd.info "record" ~doc:"Record a workload's branch trace to a file.")
-      Term.(const record_cmd $ workload_arg $ trace_arg $ max_steps_arg)
-  in
-  let replay =
-    Cmd.v
-      (Cmd.info "replay" ~doc:"Replay a recorded trace through the predictors.")
-      Term.(const replay_cmd $ trace_arg)
-  in
   let trace_group =
     let record =
       Cmd.v
@@ -1290,17 +1097,17 @@ let () =
     let doc = "Treat warnings as fatal (non-zero exit)." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
+  let algo_opt_arg =
+    let doc =
+      "Restrict to one algorithm (default: orig, greedy, cost and try15)."
+    in
+    Arg.(value & opt (some algo_conv) None & info [ "algo" ] ~doc)
+  in
+  let arch_opt_arg =
+    let doc = "Restrict to one cost-model architecture (default: all five)." in
+    Arg.(value & opt (some arch_conv) None & info [ "arch" ] ~doc)
+  in
   let analyze =
-    let algo_opt_arg =
-      let doc =
-        "Restrict to one algorithm (default: orig, greedy, cost and try15)."
-      in
-      Arg.(value & opt (some algo_conv) None & info [ "algo" ] ~doc)
-    in
-    let arch_opt_arg =
-      let doc = "Restrict to one cost-model architecture (default: all five)." in
-      Arg.(value & opt (some arch_conv) None & info [ "arch" ] ~doc)
-    in
     let placement_arg =
       let doc =
         "Run the conflict-aware placement post-pass on every cell, report \
@@ -1323,16 +1130,6 @@ let () =
         $ placement_arg $ format_arg $ max_steps_arg $ jobs_arg)
   in
   let bound =
-    let algo_opt_arg =
-      let doc =
-        "Restrict to one algorithm (default: orig, greedy, cost and try15)."
-      in
-      Arg.(value & opt (some algo_conv) None & info [ "algo" ] ~doc)
-    in
-    let arch_opt_arg =
-      let doc = "Restrict to one cost-model architecture (default: all five)." in
-      Arg.(value & opt (some arch_conv) None & info [ "arch" ] ~doc)
-    in
     Cmd.v
       (Cmd.info "bound"
          ~doc:
@@ -1421,5 +1218,5 @@ let () =
        (Cmd.group
           (Cmd.info "branch_align"
              ~doc:"Profile-guided branch alignment (Calder & Grunwald, ASPLOS 1994).")
-          [ run; list; dump; hotspots; record; replay; trace_group; align;
+          [ run; list; dump; hotspots; trace_group; align;
             disasm; simulate; analyze; bound; lint; verify; serve ]))

@@ -26,7 +26,13 @@ let select only =
 
 let max_steps_arg =
   let doc = "Execution budget in semantic block visits per run." in
-  Arg.(value & opt int Ba_workloads.Spec.default_max_steps & info [ "max-steps" ] ~doc)
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Ba_workloads.Spec.max_steps_of_string s)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Fmt.int)) Ba_workloads.Spec.default_max_steps
+    & info [ "max-steps" ] ~doc)
 
 let only_arg =
   let doc = "Comma-separated workload names to evaluate (default: all 24)." in

@@ -1,27 +1,15 @@
-(* Request execution.  Each handler mirrors the corresponding CLI command's
-   pipeline but renders a JSON body instead of an ASCII table, so a served
-   response carries the same numbers the command line would print.  Handlers
-   are pure functions of the request (profiles and traces come from the
+(* Request execution: parse the request, run the Ba_report.Query the CLI
+   command prints from, and render the result as a JSON body.  Handlers are
+   pure functions of the request (profiles and traces come from the
    deterministic Profiled cache), which is what makes batched responses
    byte-identical at any [-j]. *)
 
 open Ba_util
-
-let bep_archs =
-  [
-    Ba_sim.Bep.Static_fallthrough;
-    Ba_sim.Bep.Static_btfnt;
-    Ba_sim.Bep.Pht_direct { entries = 4096 };
-    Ba_sim.Bep.Pht_gshare { entries = 4096; history_bits = 12 };
-    Ba_sim.Bep.Btb_arch { entries = 256; assoc = 4 };
-  ]
-
-type algo = Core of Ba_core.Align.algo | Anneal
+module Query = Ba_report.Query
 
 let parse_algo = function
-  | "" -> Ok (Core (Ba_core.Align.Tryn 15))
-  | "anneal" -> Ok Anneal
-  | s -> Result.map (fun a -> Core a) (Ba_core.Align.algo_of_name s)
+  | "" -> Ok (Query.Core (Ba_core.Align.Tryn 15))
+  | s -> Query.algo_of_name s
 
 let parse_arch = function
   | "" -> Ok Ba_core.Cost_model.Btfnt
@@ -53,196 +41,115 @@ let resolve (r : Protocol.request) =
         in
         Ok (w, algo, arch, max_steps)))
 
-let algo_name = function
-  | Core a -> Ba_core.Align.algo_name a
-  | Anneal -> "anneal"
+(* Only [align] runs the annealing search. *)
+let core_algo ~kind = function
+  | Query.Core a -> a
+  | Query.Anneal ->
+    invalid_arg (kind ^ " does not accept the anneal search")
 
-let decisions_for ~algo ~arch program profile =
-  let n = Ba_ir.Program.n_procs program in
-  match algo with
-  | Core Ba_core.Align.Original ->
-    Array.init n (fun p ->
-        Ba_layout.Decision.identity (Ba_ir.Program.proc program p))
-  | Core a -> Ba_core.Align.align_program a ~arch profile
-  | Anneal ->
-    (* Seed 0, default sweeps — the CLI's defaults.  Runs inline (no pool):
-       handlers already execute inside pool tasks. *)
-    Array.init n (fun pid ->
-        Ba_delta.Anneal.align_proc ~seed:0
-          ~sweeps:Ba_delta.Anneal.default_sweeps ~arch profile pid)
+let header (w : Ba_workloads.Spec.t) algo_name arch =
+  [
+    ("workload", Json.String w.Ba_workloads.Spec.name);
+    ("algo", Json.String algo_name);
+    ("arch", Json.String (Ba_core.Cost_model.arch_name arch));
+  ]
 
 let align_body ~w ~algo ~arch ~max_steps =
-  let workload = (w : Ba_workloads.Spec.t) in
-  let program, profile, trace =
-    Ba_workloads.Profiled.get_traced ~max_steps workload
+  let l = Query.align ~anneal:Query.inline_anneal algo ~arch ~max_steps w in
+  let proc (p : Query.proc_layout) =
+    Json.Obj
+      [
+        ("proc", Json.Int p.Query.proc);
+        ("name", Json.String p.Query.name);
+        ( "order",
+          Json.List
+            (List.map (fun b -> Json.Int b) (Array.to_list p.Query.order)) );
+        ( "forced",
+          Json.List
+            (List.map
+               (fun (b, leg) ->
+                 Json.Obj
+                   [
+                     ("block", Json.Int b);
+                     ("leg", Json.String (Ba_layout.Decision.leg_name leg));
+                   ])
+               p.Query.forced) );
+        ("cost", Json.Float p.Query.cost);
+      ]
   in
-  let decisions = decisions_for ~algo ~arch program profile in
-  let n = Ba_ir.Program.n_procs program in
-  let total = ref 0.0 in
-  let procs =
-    List.init n (fun p ->
-        let proc = Ba_ir.Program.proc program p in
-        let d = decisions.(p) in
-        let cost =
-          Ba_delta.Model.total
-            (Ba_delta.Model.create ~arch
-               ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-               ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile p b)
-               proc d)
-        in
-        total := !total +. cost;
-        let forced =
-          let parts = ref [] in
-          Array.iteri
-            (fun b leg ->
-              match leg with
-              | Some l ->
-                parts :=
-                  Json.Obj
-                    [
-                      ("block", Json.Int b);
-                      ("leg", Json.String (Ba_layout.Decision.leg_name l));
-                    ]
-                  :: !parts
-              | None -> ())
-            d.Ba_layout.Decision.neither;
-          List.rev !parts
-        in
-        Json.Obj
-          [
-            ("proc", Json.Int p);
-            ("name", Json.String proc.Ba_ir.Proc.name);
-            ( "order",
-              Json.List
-                (List.map
-                   (fun b -> Json.Int b)
-                   (Array.to_list d.Ba_layout.Decision.order)) );
-            ("forced", Json.List forced);
-            ("cost", Json.Float cost);
-          ])
-  in
-  let spec = Ba_delta.Eval.spec_of_model arch in
-  let ev = Ba_delta.Eval.create ~specs:[| spec |] profile trace decisions in
   Json.Obj
-    [
-      ("workload", Json.String workload.Ba_workloads.Spec.name);
-      ("algo", Json.String (algo_name algo));
-      ("arch", Json.String (Ba_core.Cost_model.arch_name arch));
-      ("procs", Json.List procs);
-      ("total_cost", Json.Float !total);
-      ("penalty_model", Json.String (Ba_delta.Eval.spec_label spec));
-      ("penalty_cycles", Json.Int (Ba_delta.Eval.cost_arch ev 0 decisions));
-    ]
+    (header w (Query.algo_name algo) arch
+    @ [
+        ("procs", Json.List (List.map proc l.Query.procs));
+        ("total_cost", Json.Float l.Query.total_cost);
+        ("penalty_model", Json.String l.Query.penalty_model);
+        ("penalty_cycles", Json.Int l.Query.penalty_cycles);
+      ])
 
 let simulate_body ~w ~algo ~arch ~max_steps =
-  let workload = (w : Ba_workloads.Spec.t) in
-  let core_algo =
-    match algo with
-    | Core a -> a
-    | Anneal -> invalid_arg "simulate does not accept the anneal search"
-  in
-  let program, profile, trace =
-    Ba_workloads.Profiled.get_traced ~max_steps workload
-  in
-  let image =
-    match core_algo with
-    | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-    | _ -> Ba_core.Align.image core_algo ~arch profile
-  in
-  let archs =
-    Ba_sim.Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-    :: bep_archs
-  in
-  let out = Ba_sim.Runner.simulate ~max_steps ~trace ~archs image in
-  let sims =
-    List.map
-      (fun (a, sim) ->
-        let counts = Ba_sim.Bep.counts sim in
-        Json.Obj
-          [
-            ("label", Json.String (Ba_sim.Bep.arch_label a));
-            ("accuracy", Json.Float (100.0 *. Ba_sim.Bep.cond_accuracy sim));
-            ("misfetches", Json.Int counts.Ba_sim.Bep.misfetches);
-            ("mispredicts", Json.Int counts.Ba_sim.Bep.mispredicts);
-            ("bep_cycles", Json.Int (Ba_sim.Bep.bep sim));
-          ])
-      (Array.to_list out.Ba_sim.Runner.sims)
+  let algo = core_algo ~kind:"simulate" algo in
+  let out = Query.simulate algo ~arch ~max_steps w in
+  let sim (a, sim) =
+    let counts = Ba_sim.Bep.counts sim in
+    Json.Obj
+      [
+        ("label", Json.String (Ba_sim.Bep.arch_label a));
+        ("accuracy", Json.Float (100.0 *. Ba_sim.Bep.cond_accuracy sim));
+        ("misfetches", Json.Int counts.Ba_sim.Bep.misfetches);
+        ("mispredicts", Json.Int counts.Ba_sim.Bep.mispredicts);
+        ("bep_cycles", Json.Int (Ba_sim.Bep.bep sim));
+      ]
   in
   Json.Obj
-    [
-      ("workload", Json.String workload.Ba_workloads.Spec.name);
-      ("algo", Json.String (Ba_core.Align.algo_name core_algo));
-      ("arch", Json.String (Ba_core.Cost_model.arch_name arch));
-      ( "branches",
-        Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.branches );
-      ("insns", Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
-      ("architectures", Json.List sims);
-    ]
+    (header w (Ba_core.Align.algo_name algo) arch
+    @ [
+        ("branches", Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.branches);
+        ("insns", Json.Int out.Ba_sim.Runner.result.Ba_exec.Engine.insns);
+        ( "architectures",
+          Json.List (List.map sim (Array.to_list out.Ba_sim.Runner.sims)) );
+      ])
 
 let verify_body ~w ~algo ~arch ~max_steps =
-  let workload = (w : Ba_workloads.Spec.t) in
-  let core_algo =
-    match algo with
-    | Core a -> a
-    | Anneal -> invalid_arg "verify does not accept the anneal search"
-  in
-  let program, profile, trace =
-    Ba_workloads.Profiled.get_traced ~max_steps workload
-  in
+  let algo = core_algo ~kind:"verify" algo in
+  let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps w in
   let result =
     Ba_verify.Run.verify_pipeline ~arch ~max_steps ~profile ~trace ~audit:true
-      ~algo:core_algo program
+      ~algo program
   in
   let diags = Ba_verify.Run.diagnostics result in
   let e, warn, i = Ba_analysis.Diagnostic.count diags in
   Json.Obj
-    [
-      ("workload", Json.String workload.Ba_workloads.Spec.name);
-      ("algo", Json.String (Ba_core.Align.algo_name core_algo));
-      ("arch", Json.String (Ba_core.Cost_model.arch_name arch));
-      ("verified", Json.Bool result.Ba_verify.Run.verified);
-      ("errors", Json.Int e);
-      ("warnings", Json.Int warn);
-      ("infos", Json.Int i);
-      ( "certificates",
-        Json.List
-          (List.map Ba_verify.Certificate.to_json
-             result.Ba_verify.Run.certificates) );
-      ( "diagnostics",
-        Json.List (List.map Ba_analysis.Diagnostic.to_json diags) );
-    ]
+    (header w (Ba_core.Align.algo_name algo) arch
+    @ [
+        ("verified", Json.Bool result.Ba_verify.Run.verified);
+        ("errors", Json.Int e);
+        ("warnings", Json.Int warn);
+        ("infos", Json.Int i);
+        ( "certificates",
+          Json.List
+            (List.map Ba_verify.Certificate.to_json
+               result.Ba_verify.Run.certificates) );
+        ("diagnostics", Json.List (List.map Ba_analysis.Diagnostic.to_json diags));
+      ])
 
 let analyze_body ~w ~algo ~arch ~max_steps =
-  let workload = (w : Ba_workloads.Spec.t) in
-  let core_algo =
-    match algo with
-    | Core a -> a
-    | Anneal -> invalid_arg "analyze does not accept the anneal search"
+  let algo = core_algo ~kind:"analyze" algo in
+  let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
+  let reports =
+    Ba_conflict.Analyze.analyze ~profile (Query.image algo ~arch profile)
   in
-  let program, profile, _trace =
-    Ba_workloads.Profiled.get_traced ~max_steps workload
-  in
-  let image =
-    match core_algo with
-    | Ba_core.Align.Original -> Ba_layout.Image.original ~profile program
-    | _ -> Ba_core.Align.image core_algo ~arch profile
-  in
-  let reports = Ba_conflict.Analyze.analyze ~profile image in
   Json.Obj
-    [
-      ("workload", Json.String workload.Ba_workloads.Spec.name);
-      ("algo", Json.String (Ba_core.Align.algo_name core_algo));
-      ("arch", Json.String (Ba_core.Cost_model.arch_name arch));
-      ("objective", Json.Int (Ba_conflict.Analyze.objective reports));
-      ("reports", Ba_conflict.Analyze.to_json reports);
-    ]
+    (header w (Ba_core.Align.algo_name algo) arch
+    @ [
+        ("objective", Json.Int (Ba_conflict.Analyze.objective reports));
+        ("reports", Ba_conflict.Analyze.to_json reports);
+      ])
 
-let tables_body ~w ~max_steps =
-  let workload = (w : Ba_workloads.Spec.t) in
-  let eval = Ba_report.Harness.evaluate ~max_steps workload in
+let tables_body ~(w : Ba_workloads.Spec.t) ~max_steps =
+  let eval = Ba_report.Harness.evaluate ~max_steps w in
   Json.Obj
     [
-      ("workload", Json.String workload.Ba_workloads.Spec.name);
+      ("workload", Json.String w.Ba_workloads.Spec.name);
       ("table2", Json.String (Ba_report.Tables.table2 [ eval ]));
       ("table3", Json.String (Ba_report.Tables.table3 [ eval ]));
       ("table4", Json.String (Ba_report.Tables.table4 [ eval ]));

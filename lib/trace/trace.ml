@@ -19,6 +19,41 @@ let cond t i =
   if i < 0 || i >= t.n_conds then invalid_arg "Trace.cond: index out of range";
   (Char.code (Bytes.get t.conds (i lsr 3)) lsr (i land 7)) land 1 = 1
 
+(* Unsigned LEB128, the coding of the choice stream and of every header
+   field of the disk format. *)
+
+let buf_varint buf n =
+  if n < 0 then invalid_arg "Trace: negative varint";
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let write_varint oc n =
+  if n < 0 then invalid_arg "Trace: negative varint";
+  let rec go n =
+    if n < 0x80 then output_byte oc n
+    else begin
+      output_byte oc (0x80 lor (n land 0x7F));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let read_varint ic =
+  let rec go shift acc =
+    match input_byte ic with
+    | b ->
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if b land 0x80 = 0 then acc else go (shift + 7) acc
+    | exception End_of_file -> failwith "Trace.load: truncated varint"
+  in
+  go 0 0
+
 module Builder = struct
   type t = {
     conds : Buffer.t;
@@ -50,7 +85,7 @@ module Builder = struct
     end
 
   let add_choice b i =
-    Ba_exec.Trace_io.buf_varint b.choices i;
+    buf_varint b.choices i;
     b.n_choices <- b.n_choices + 1
 
   let finish b ~steps ~completed =
@@ -86,7 +121,7 @@ let save ~path ~seed ~max_steps t =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc magic;
-      let v = Ba_exec.Trace_io.write_varint oc in
+      let v = write_varint oc in
       v (zigzag seed);
       v max_steps;
       v t.steps;
@@ -107,7 +142,7 @@ let load ~path =
       | m when m = magic -> ()
       | _ -> failwith "Trace.load: bad magic"
       | exception End_of_file -> failwith "Trace.load: truncated header");
-      let v () = Ba_exec.Trace_io.read_varint ic in
+      let v () = read_varint ic in
       let seed = unzigzag (v ()) in
       let max_steps = v () in
       let steps = v () in

@@ -62,10 +62,11 @@ end
 (** {1 Disk format}
 
     Magic ["BAST1\n"], then the program seed (zigzag varint), the recording
-    [max_steps], and the six trace fields — all varints via the
-    {!Ba_exec.Trace_io} coder, streams as raw bytes.  The seed and budget
-    let [branch_align trace replay] refuse a trace recorded for a different
-    program or budget. *)
+    [max_steps], and the six trace fields — all unsigned LEB128 varints,
+    streams as raw bytes.  [branch_align trace replay] refuses a trace
+    whose seed differs from the workload's (it was recorded from a
+    different program) and re-profiles at the recorded budget when the
+    layout it replays through needs a profile. *)
 
 type file = { seed : int; max_steps : int; trace : t }
 

@@ -1,8 +1,8 @@
 (** FNV-1a 64-bit hashing.
 
     The repo's one digest primitive: certificate digests
-    ([Ba_verify.Certificate]) and memo keys ([Ba_par.Memo] consumers) both
-    use it, so a digest printed anywhere can be recomputed from the same
+    ([Ba_verify.Certificate]) and cache keys ([Ba_workloads.Profiled]'s
+    {!Ba_par.Lru}) both use it, so a digest printed anywhere can be recomputed from the same
     canonical string with this module. *)
 
 val hash64 : string -> int64

@@ -22,3 +22,8 @@ let spec_c_programs =
   [ "alvinn"; "ear"; "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]
 
 let default_max_steps = 3_000_000
+
+let max_steps_of_string s =
+  match int_of_string_opt s with
+  | Some n when n > 0 -> Ok n
+  | Some _ | None -> Error (Printf.sprintf "must be a positive integer, got %S" s)

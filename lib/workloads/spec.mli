@@ -35,3 +35,7 @@ val spec_c_programs : string list
 val default_max_steps : int
 (** Execution budget (semantic block visits) used by the experiment
     harness; large enough that every workload runs to completion. *)
+
+val max_steps_of_string : string -> (int, string) result
+(** Parse a command-line budget: a positive integer.  Zero, negative and
+    non-numeric values are errors, as they are in a served request. *)
