@@ -13,34 +13,43 @@
 
 open Cmdliner
 
-let select only =
-  match only with
-  | [] -> Ba_workloads.Spec.all
-  | names ->
-    List.map
-      (fun n ->
-        match Ba_workloads.Spec.by_name n with
-        | Some w -> w
-        | None -> failwith (Printf.sprintf "unknown workload %S" n))
-      names
-
-let max_steps_arg =
-  let doc = "Execution budget in semantic block visits per run." in
+(* Positive-integer options share the budget's parser, so a zero or
+   negative value is a usage error with the same message everywhere. *)
+let positive_conv =
   let parse s =
     Result.map_error (fun e -> `Msg e) (Ba_workloads.Spec.max_steps_of_string s)
   in
+  Arg.conv (parse, Fmt.int)
+
+let max_steps_arg =
+  let doc = "Execution budget in semantic block visits per run." in
   Arg.(
     value
-    & opt (conv (parse, Fmt.int)) Ba_workloads.Spec.default_max_steps
+    & opt positive_conv Ba_workloads.Spec.default_max_steps
     & info [ "max-steps" ] ~doc)
+
+(* Names resolve inside the converter: an unknown workload is a usage
+   error that names it. *)
+let workload_conv =
+  let parse n =
+    match Ba_workloads.Spec.by_name n with
+    | Some w -> Ok w
+    | None -> Error (`Msg (Printf.sprintf "unknown workload %S" n))
+  in
+  Arg.conv (parse, fun ppf (w : Ba_workloads.Spec.t) -> Fmt.string ppf w.name)
 
 let only_arg =
   let doc = "Comma-separated workload names to evaluate (default: all 24)." in
-  Arg.(value & opt (list string) [] & info [ "only" ] ~doc)
+  Arg.(value & opt (list workload_conv) [] & info [ "only" ] ~doc)
+
+(* The workloads named by --only, or [defaults] when it is absent. *)
+let select_or defaults = function [] -> defaults | ws -> ws
+let select = select_or Ba_workloads.Spec.all
+let named = List.map (fun n -> Option.get (Ba_workloads.Spec.by_name n))
 
 let tryn_arg =
   let doc = "Group size for the TryN algorithm (the paper uses 15)." in
-  Arg.(value & opt int 15 & info [ "tryn" ] ~doc)
+  Arg.(value & opt positive_conv 15 & info [ "tryn" ] ~doc)
 
 (* Strict job-count parsing, shared with BA_JOBS: zero, negative and
    garbage values are command-line errors, never silent defaults. *)
@@ -161,11 +170,8 @@ let run_interproc max_steps only jobs format =
 (* The measured optimality-gap table: exact simulated penalty cycles of
    each algorithm's layout against the Optimal-k branch-and-bound winner,
    whose search is pruned by the static Ba_bound lower bounds. *)
-let run_gap max_steps only tryn jobs k no_delta format =
-  let rows =
-    Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ~delta:(not no_delta)
-      ?jobs (select only)
-  in
+let run_gap max_steps only tryn jobs k format =
+  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Gap.render rows)
   | `Json -> print_endline (Ba_util.Json.to_string (Ba_report.Gap.to_json rows))
@@ -203,8 +209,7 @@ let calibrate max_steps only =
    Pettis & Hansen BT/FNT precedence, measured on the BT/FNT architecture. *)
 let ablation_order max_steps only =
   let workloads =
-    match only with [] -> select [ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]
-    | names -> select names
+    select_or (named [ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]) only
   in
   let columns =
     Ba_util.Ascii_table.
@@ -255,9 +260,7 @@ let ablation_order max_steps only =
    workloads. *)
 let ablation_tryn max_steps only =
   let workloads =
-    match only with
-    | [] -> select [ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ]
-    | names -> select names
+    select_or (named [ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ]) only
   in
   let ns = [ 1; 5; 10; 15 ] in
   let columns =
@@ -305,7 +308,7 @@ let ablation_tryn max_steps only =
    the optimizer and measure on the unchanged simulator. *)
 let ablation_penalty max_steps only =
   let workloads =
-    match only with [] -> select [ "espresso" ] | names -> select names
+    select_or (named [ "espresso" ]) only
   in
   let penalties = [ 1.0; 2.0; 4.0; 8.0; 16.0 ] in
   let columns =
@@ -357,9 +360,7 @@ let ablation_penalty max_steps only =
    layout instead of DFS guesses. *)
 let ablation_refine max_steps only =
   let workloads =
-    match only with
-    | [] -> select [ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ]
-    | names -> select names
+    select_or (named [ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ]) only
   in
   let rounds = [ 1; 2; 3 ] in
   let columns =
@@ -409,7 +410,7 @@ let ablation_refine max_steps only =
    bodies so the copies need no branch at all; combined with alignment. *)
 let ablation_unroll max_steps only =
   let workloads =
-    match only with [] -> select [ "alvinn"; "ear" ] | names -> select names
+    select_or (named [ "alvinn"; "ear" ]) only
   in
   let factors = [ 2; 4 ] in
   let columns =
@@ -484,9 +485,7 @@ let ablation_unroll max_steps only =
    the same input; this quantifies how much that flatters the results. *)
 let ablation_cross_input max_steps only =
   let workloads =
-    match only with
-    | [] -> select [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ]
-    | names -> select names
+    select_or (named [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ]) only
   in
   let columns =
     Ba_util.Ascii_table.
@@ -560,9 +559,7 @@ let ablation_cross_input max_steps only =
    tabulate. *)
 let ablation_algos max_steps only =
   let workloads =
-    match only with
-    | [] -> select [ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ]
-    | names -> select names
+    select_or (named [ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ]) only
   in
   let algos =
     [ Ba_core.Align.Greedy; Ba_core.Align.Cost; Ba_core.Align.Tryn 5;
@@ -673,13 +670,6 @@ let () =
                 value & opt int 4
                 & info [ "k" ]
                     ~doc:"How many of the hottest chains Optimal-k reorders.")
-            $ Arg.(
-                value & flag
-                & info [ "no-delta" ]
-                    ~doc:
-                      "Price candidates with full trace replays instead of \
-                       the incremental delta evaluator (same figures, \
-                       slower).")
             $ placement_format_arg);
         Cmd.v
           (Cmd.info "all" ~doc:"Reproduce every table and figure.")

@@ -15,25 +15,15 @@ let objective_of ~suite ~profile image =
   Analyze.objective
     (Analyze.of_summary ~suite ~bases:image.Image.bases summary)
 
-let proc_branch_cost ~arch ~profile program decision p =
-  let proc = Program.proc program p in
-  let cond_counts b = Ba_cfg.Profile.cond_counts profile p b in
-  let linear = Lower.lower ~cond_counts proc decision in
-  Ba_core.Layout_cost.branch_cost ~arch
-    ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-    ~cond_counts linear
-
 (* One greedy pass of adjacent swaps.  A swap must keep the procedure's own
    exact branch cost from rising (the alignment's win is not negotiable)
-   and must strictly lower the global conflict objective.
-
-   With [delta] (the default) the branch-cost guard is priced by
-   [Ba_delta.Model] — one cached lowering per procedure, each swap
-   re-priced over its three-position window — instead of two full
-   lowerings per candidate.  [Model.total]/[Model.preview] are bit-equal
-   to [proc_branch_cost], so the guard accepts exactly the same swaps
-   either way (the equality gate in [test_delta.ml] pins this). *)
-let swap_pass ?(delta = true) ~suite ~arch ~build ~profile program decisions =
+   and must strictly lower the global conflict objective.  The branch-cost
+   guard is priced by [Ba_delta.Model] — one cached lowering per
+   procedure, each swap re-priced over its three-position window — which
+   is bit-equal to [Ba_core.Layout_cost.branch_cost] of a fresh lowering
+   (the "total/preview bit-equal to fresh lowering" wall in
+   [test_delta.ml] pins this). *)
+let swap_pass ~suite ~arch ~build ~profile program decisions =
   let n = Program.n_procs program in
   let swaps = ref 0 in
   let current_obj =
@@ -41,38 +31,29 @@ let swap_pass ?(delta = true) ~suite ~arch ~build ~profile program decisions =
   in
   for p = 0 to n - 1 do
     let len = Proc.n_blocks (Program.proc program p) in
-    let model =
-      if delta && len > 2 then
-        Some
-          (Ba_delta.Model.create ~arch
-             ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
-             ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile p b)
-             (Program.proc program p) decisions.(p))
-      else None
-    in
-    for pos = 1 to len - 2 do
-      let cost_ok =
-        match model with
-        | Some m ->
-          Ba_delta.Model.preview m (Ba_delta.Move.Swap pos)
-          <= Ba_delta.Model.total m +. 1e-6
-        | None ->
-          let candidate = Decision.swap_positions decisions.(p) pos (pos + 1) in
-          proc_branch_cost ~arch ~profile program candidate p
-          <= proc_branch_cost ~arch ~profile program decisions.(p) p +. 1e-6
+    if len > 2 then begin
+      let model =
+        Ba_delta.Model.create ~arch
+          ~visits:(fun b -> Ba_cfg.Profile.visits profile p b)
+          ~cond_counts:(fun b -> Ba_cfg.Profile.cond_counts profile p b)
+          (Program.proc program p) decisions.(p)
       in
-      if cost_ok then begin
-        let saved = decisions.(p) in
-        decisions.(p) <- Decision.swap_positions decisions.(p) pos (pos + 1);
-        let obj = objective_of ~suite ~profile (build ?pads:None decisions) in
-        if obj < !current_obj then begin
-          current_obj := obj;
-          incr swaps;
-          Option.iter (fun m -> Ba_delta.Model.commit m (Ba_delta.Move.Swap pos)) model
+      for pos = 1 to len - 2 do
+        let move = Ba_delta.Move.Swap pos in
+        if Ba_delta.Model.preview model move <= Ba_delta.Model.total model +. 1e-6
+        then begin
+          let saved = decisions.(p) in
+          decisions.(p) <- Decision.swap_positions decisions.(p) pos (pos + 1);
+          let obj = objective_of ~suite ~profile (build ?pads:None decisions) in
+          if obj < !current_obj then begin
+            current_obj := obj;
+            incr swaps;
+            Ba_delta.Model.commit model move
+          end
+          else decisions.(p) <- saved
         end
-        else decisions.(p) <- saved
-      end
-    done
+      done
+    end
   done;
   (!current_obj, !swaps)
 
@@ -128,8 +109,8 @@ let pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions =
   pads
 
 let improve ?(suite = Structure.placement_suite)
-    ?(arch = Ba_core.Cost_model.Btfnt) ?(max_pad = 32) ?delta
-    ?(interproc = false) ~profile program decisions =
+    ?(arch = Ba_core.Cost_model.Btfnt) ?(max_pad = 32) ?(interproc = false)
+    ~profile program decisions =
   Ba_obs.Span.with_ "place" @@ fun () ->
   if Array.length decisions <> Program.n_procs program then
     invalid_arg "Place.improve: one decision per procedure required";
@@ -140,9 +121,7 @@ let improve ?(suite = Structure.placement_suite)
     else Image.build ?pads ~profile program decisions
   in
   let before = objective_of ~suite ~profile (build ?pads:None decisions) in
-  let _, swaps =
-    swap_pass ?delta ~suite ~arch ~build ~profile program decisions
-  in
+  let _, swaps = swap_pass ~suite ~arch ~build ~profile program decisions in
   let pads = pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions in
   let image = build ~pads decisions in
   let after = objective_of ~suite ~profile image in

@@ -10,12 +10,10 @@
     is itself a candidate.
 
     Every simulation replays the workload's recorded trace, so the table
-    is deterministic at any [-j].  [delta] (default [true]) prices
-    candidates with {!Ba_delta.Eval} — bit-equal to the full replay, in
-    O(affected sites) per candidate — instead of replaying the whole trace
-    per candidate; [delta:false] keeps the historical oracle and produces
-    the identical table.  The [anneal] column is the seeded
-    simulated-annealing search ({!Ba_delta.Anneal}, seed 0). *)
+    is deterministic at any [-j].  Candidates are priced with
+    {!Ba_delta.Eval} — bit-equal to the full replay, in O(affected sites)
+    per candidate.  The [anneal] column is the seeded simulated-annealing
+    search ({!Ba_delta.Anneal}, seed 0). *)
 
 type cell = {
   model : Ba_core.Cost_model.arch;
@@ -33,22 +31,13 @@ type cell = {
 
 type row = { workload : Ba_workloads.Spec.t; cells : cell list }
 
-val models : Ba_core.Cost_model.arch list
-(** The five cost-model architectures, in harness column order. *)
-
-val evaluate :
-  ?max_steps:int ->
-  ?k:int ->
-  ?tryn:int ->
-  ?delta:bool ->
-  Ba_workloads.Spec.t ->
-  row
+val evaluate : ?max_steps:int -> ?k:int -> ?tryn:int -> Ba_workloads.Spec.t -> row
+(** One row per {!Ba_core.Cost_model.all_arches} model, in that order. *)
 
 val evaluate_suite :
   ?max_steps:int ->
   ?k:int ->
   ?tryn:int ->
-  ?delta:bool ->
   ?jobs:int ->
   Ba_workloads.Spec.t list ->
   row list

@@ -39,7 +39,7 @@ let btb256_arch = Bep.Btb_arch { entries = 256; assoc = 4 }
 (* Run one image against a list of architectures, where LIKELY bits are
    derived from the image itself (profile-guided hints follow the rewritten
    binary, as re-annotating after transformation would). *)
-let run_image ~max_steps ~profile ?trace ~archs image =
+let run_image ~max_steps ~profile ~trace ~archs image =
   let archs =
     List.map
       (function
@@ -47,7 +47,7 @@ let run_image ~max_steps ~profile ?trace ~archs image =
         | `Arch a -> a)
       archs
   in
-  Runner.simulate ~max_steps ?trace ~archs image
+  Runner.simulate ~max_steps ~trace ~archs image
 
 let cpi outcome ~orig_insns arch_index =
   let _, sim = outcome.Runner.sims.(arch_index) in
@@ -76,18 +76,15 @@ let cpis_of_full outcome ~orig_insns =
     btb256 = c 6;
   }
 
-let evaluate ?max_steps ?(tryn = 15) ?(replay = true) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with Some s -> s | None -> Ba_workloads.Spec.default_max_steps
   in
   (* Record once, replay many: the single memoized interpreter pass yields
      the profile and the semantic trace, and every image below — original
-     included — replays that trace instead of re-interpreting.
-     [replay:false] forces the historical interpret-everything path; the
-     differential test wall proves both produce byte-identical tables. *)
+     included — replays that trace instead of re-interpreting. *)
   let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps workload in
-  let trace = if replay then Some trace else None in
-  let run_image = run_image ~max_steps ~profile ?trace in
+  let run_image = run_image ~max_steps ~profile ~trace in
   let orig_image = Ba_layout.Image.original ~profile program in
   let orig_out = run_image ~archs:full_archs orig_image in
   let orig_insns = orig_out.Runner.result.Ba_exec.Engine.insns in
@@ -173,7 +170,7 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true) (workload : Ba_workloads.S
         | Ba_workloads.Spec.Int | Ba_workloads.Spec.Other -> 0.08
       in
       let run_alpha image =
-        let result, alpha = Runner.simulate_alpha ~max_steps ~fp_fraction ?trace image in
+        let result, alpha = Runner.simulate_alpha ~max_steps ~fp_fraction ~trace image in
         Alpha.cycles alpha ~insns:result.Ba_exec.Engine.insns
       in
       let orig_cycles = run_alpha orig_image in
@@ -203,15 +200,15 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true) (workload : Ba_workloads.S
     alpha;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs ?replay workloads =
+let evaluate_suite ?max_steps ?tryn ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn ?replay) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
 
-let evaluate_suite_timed ?max_steps ?tryn ?jobs ?replay workloads =
+let evaluate_suite_timed ?max_steps ?tryn ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
       Ba_par.Pool.timed_map pool ~label:"evaluate_suite"
         ~task_label:(fun (w : Ba_workloads.Spec.t) -> w.Ba_workloads.Spec.name)
-        (evaluate ?max_steps ?tryn ?replay) workloads)
+        (evaluate ?max_steps ?tryn) workloads)
 
 let class_groups evals =
   let group cls =

@@ -58,24 +58,27 @@ type eval = {
           the 21064 model; computed for the SPEC C programs *)
 }
 
-val evaluate :
-  ?max_steps:int -> ?tryn:int -> ?replay:bool -> Ba_workloads.Spec.t -> eval
+val run_image :
+  max_steps:int ->
+  profile:Ba_cfg.Profile.t ->
+  trace:Ba_trace.Trace.t ->
+  archs:[ `Arch of Ba_sim.Bep.arch | `Likely ] list ->
+  Ba_layout.Image.t ->
+  Ba_sim.Runner.outcome
+(** Replay [trace] through one image against [archs], resolving each
+    [`Likely] to hint bits built from that image
+    ({!Ba_predict.Likely_bits.build}): profile-guided hints follow the
+    rewritten binary. *)
+
+val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> eval
 (** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}; [tryn]
     to 15.  The workload's profile {e and} semantic trace come from the
     process-wide {!Ba_workloads.Profiled} memo, so the interpreter runs
     only once per workload per budget; every image (original included) is
-    then scored by replaying the trace ({!Ba_sim.Runner.simulate}'s
-    [?trace] path).  [replay:false] (default [true]) forces the historical
-    interpret-every-image path — the results are byte-identical either way,
-    which the differential test wall enforces. *)
+    then scored by replaying the trace ({!run_image}). *)
 
 val evaluate_suite :
-  ?max_steps:int ->
-  ?tryn:int ->
-  ?jobs:int ->
-  ?replay:bool ->
-  Ba_workloads.Spec.t list ->
-  eval list
+  ?max_steps:int -> ?tryn:int -> ?jobs:int -> Ba_workloads.Spec.t list -> eval list
 (** Evaluate the workloads on a {!Ba_par.Pool} of [jobs] domains (default
     {!Ba_par.Pool.default_jobs}, i.e. the [BA_JOBS] environment variable or
     the machine's domain count; [jobs = 1] forces the sequential path).
@@ -86,7 +89,6 @@ val evaluate_suite_timed :
   ?max_steps:int ->
   ?tryn:int ->
   ?jobs:int ->
-  ?replay:bool ->
   Ba_workloads.Spec.t list ->
   eval list * Ba_par.Stats.t
 (** {!evaluate_suite} plus per-workload wall times. *)

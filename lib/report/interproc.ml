@@ -10,7 +10,7 @@ type row = {
   stitched : int array;
 }
 
-let evaluate ?max_steps ?(replay = true) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -45,8 +45,7 @@ let evaluate ?max_steps ?(replay = true) (workload : Ba_workloads.Spec.t) =
     && not (List.exists Ba_analysis.Diagnostic.is_error image_diags)
     && certificates <> []
   in
-  let trace = if replay then Some trace else None in
-  let penalties image = Placement.penalties ~max_steps ~profile ?trace image in
+  let penalties image = Placement.penalties ~max_steps ~profile ~trace image in
   {
     workload;
     procs = n;
@@ -57,9 +56,9 @@ let evaluate ?max_steps ?(replay = true) (workload : Ba_workloads.Spec.t) =
     stitched = penalties stitched_image;
   }
 
-let evaluate_suite ?max_steps ?jobs ?replay workloads =
+let evaluate_suite ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?replay) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

@@ -14,30 +14,17 @@ type row = {
 }
 
 let arch_labels =
-  [
-    "FALLTHROUGH";
-    "BT/FNT";
-    "LIKELY";
-    "PHT-4096";
-    "gshare-4096";
-    "BTB-64/2";
-    "BTB-256/4";
-  ]
+  List.map
+    (function `Likely -> "LIKELY" | `Arch a -> Bep.arch_label a)
+    Harness.full_archs
 
-let penalties ~max_steps ~profile ?trace image =
-  let archs =
-    List.map
-      (function
-        | `Likely ->
-          Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
-        | `Arch a -> a)
-      Harness.full_archs
+let penalties ~max_steps ~profile ~trace image =
+  let outcome =
+    Harness.run_image ~max_steps ~profile ~trace ~archs:Harness.full_archs image
   in
-  let outcome = Runner.simulate ~max_steps ?trace ~archs image in
   Array.map (fun (_, sim) -> Bep.bep sim) outcome.Runner.sims
 
-let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
-    (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -46,7 +33,6 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
   let program, profile, trace =
     Ba_workloads.Profiled.get_traced ~max_steps workload
   in
-  let trace = if replay then Some trace else None in
   (* The canonical BTB-aligned Try15 layout — the configuration the paper
      carries into its hardware evaluation — is the placement baseline. *)
   let decisions =
@@ -56,8 +42,8 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
   let place =
     Ba_conflict.Place.improve ~arch:Cost_model.Btb ~profile program decisions
   in
-  let base = penalties ~max_steps ~profile ?trace base_image in
-  let placed = penalties ~max_steps ~profile ?trace place.Ba_conflict.Place.image in
+  let base = penalties ~max_steps ~profile ~trace base_image in
+  let placed = penalties ~max_steps ~profile ~trace place.Ba_conflict.Place.image in
   let total a = Array.fold_left ( + ) 0 a in
   let applied = total placed <= total base in
   {
@@ -72,9 +58,9 @@ let evaluate ?max_steps ?(tryn = 15) ?(replay = true)
     pad_slots = Array.fold_left ( + ) 0 place.Ba_conflict.Place.pads;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs ?replay workloads =
+let evaluate_suite ?max_steps ?tryn ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn ?replay) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

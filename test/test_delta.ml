@@ -9,8 +9,11 @@
    exactness contract through the public API alone: totals bit-equal to a
    fresh lowering, move+inverse restoring the total bit-for-bit, disjoint
    moves composing additively, and deltas agreeing with the certified
-   totals of two fully-certified layouts.  The equality gates pin that
-   the [?delta] switches change nothing but speed. *)
+   totals of two fully-certified layouts.  The Try15 equality gate pins
+   that [Align]'s [?delta] switch changes nothing but speed.  Placement's
+   swap guard and the gap table price through [Model] and [Eval] alone,
+   so the wall and the algebra suite are what hold them to the fresh
+   lowering and the full replay. *)
 
 open Ba_delta
 
@@ -367,7 +370,7 @@ let test_delta_vs_certificates () =
     (sample 8 (moves_of proc model))
 
 (* ------------------------------------------------------------------ *)
-(* Equality gates: the ?delta switches change the speed, not the result. *)
+(* Equality gate: Align's ?delta switch changes the speed, not the result. *)
 
 let check_same_decisions what (a : Ba_layout.Decision.t array)
     (b : Ba_layout.Decision.t array) =
@@ -403,50 +406,6 @@ let test_tryn_delta_gate () =
       in
       check_same_decisions (name ^ "/try15") fast slow)
     [ "espresso"; "li"; "wave5" ]
-
-let test_place_delta_gate () =
-  let w = Matrix.workload "eqntott" in
-  let program, profile = Ba_workloads.Profiled.get ~max_steps:wall_steps w in
-  let decisions =
-    Ba_core.Align.align_program (Ba_core.Align.Tryn 15)
-      ~arch:Ba_core.Cost_model.Btb profile
-  in
-  let fast =
-    Ba_conflict.Place.improve ~arch:Ba_core.Cost_model.Btb ~delta:true ~profile
-      program decisions
-  in
-  let slow =
-    Ba_conflict.Place.improve ~arch:Ba_core.Cost_model.Btb ~delta:false
-      ~profile program decisions
-  in
-  check_same_decisions "place" fast.Ba_conflict.Place.decisions
-    slow.Ba_conflict.Place.decisions;
-  Alcotest.(check (array int))
-    "place: same pads" fast.Ba_conflict.Place.pads slow.Ba_conflict.Place.pads;
-  Alcotest.(check int)
-    "place: same swap count" fast.Ba_conflict.Place.swaps
-    slow.Ba_conflict.Place.swaps
-
-let test_gap_delta_gate () =
-  let w = Matrix.workload "eqntott" in
-  let row d = Ba_report.Gap.evaluate ~max_steps:wall_steps ~k:2 ~delta:d w in
-  let fast = row true and slow = row false in
-  List.iter2
-    (fun (f : Ba_report.Gap.cell) (s : Ba_report.Gap.cell) ->
-      let what fmt =
-        Printf.sprintf "gap/%s: %s"
-          (Ba_core.Cost_model.arch_name f.Ba_report.Gap.model)
-          fmt
-      in
-      Alcotest.(check int) (what "greedy") s.Ba_report.Gap.greedy f.Ba_report.Gap.greedy;
-      Alcotest.(check int) (what "cost") s.Ba_report.Gap.cost f.Ba_report.Gap.cost;
-      Alcotest.(check int) (what "tryn") s.Ba_report.Gap.tryn f.Ba_report.Gap.tryn;
-      Alcotest.(check int) (what "anneal") s.Ba_report.Gap.anneal f.Ba_report.Gap.anneal;
-      Alcotest.(check int) (what "optimal") s.Ba_report.Gap.optimal f.Ba_report.Gap.optimal;
-      Alcotest.(check int) (what "simulated+pruned")
-        (s.Ba_report.Gap.simulated + s.Ba_report.Gap.pruned)
-        (f.Ba_report.Gap.simulated + f.Ba_report.Gap.pruned))
-    fast.Ba_report.Gap.cells slow.Ba_report.Gap.cells
 
 (* ------------------------------------------------------------------ *)
 (* The annealing search: deterministic, and never worse than Greedy
@@ -518,10 +477,6 @@ let suites =
       [
         Alcotest.test_case "Try15 identical with and without delta" `Slow
           test_tryn_delta_gate;
-        Alcotest.test_case "placement identical with and without delta" `Slow
-          test_place_delta_gate;
-        Alcotest.test_case "gap table identical with and without delta" `Slow
-          test_gap_delta_gate;
       ] );
     ( "delta.anneal",
       [

@@ -372,6 +372,45 @@ let test_server_ping_align_metrics () =
   Ba_serve.Client.close cl;
   Ba_serve.Server.stop h
 
+(* A repeated request is served warm: the second body is byte-identical
+   to the first, and the trace cache counts a hit, not a miss.  The budget
+   is one no other test uses, so only the first request records. *)
+let test_server_warm_from_cache () =
+  let sock, h = start_server () in
+  let cl = Ba_serve.Client.connect sock in
+  let align id =
+    let r =
+      Ba_serve.Client.call cl
+        (P.request ~workload:"wave5" ~algo:"try15" ~arch:"btfnt"
+           ~max_steps:4321 ~id P.Align)
+    in
+    Alcotest.(check bool) (Printf.sprintf "align %d ok" id) true
+      (r.P.status = P.Ok_);
+    J.to_string r.P.body
+  in
+  let cache_stats id =
+    let m = Ba_serve.Client.call cl (P.request ~id P.Metrics) in
+    let field name =
+      match
+        Option.bind
+          (Option.bind (J.member "server" m.P.body) (J.member "cache"))
+          (J.member name)
+      with
+      | Some v -> Option.get (J.to_int_opt v)
+      | None -> Alcotest.failf "metrics body lacks server.cache.%s" name
+    in
+    (field "hits", field "misses")
+  in
+  let cold = align 1 in
+  let hits_cold, misses_cold = cache_stats 2 in
+  let warm = align 3 in
+  let hits_warm, misses_warm = cache_stats 4 in
+  Alcotest.(check string) "warm body byte-identical" cold warm;
+  Alcotest.(check int) "no new cache miss" misses_cold misses_warm;
+  Alcotest.(check bool) "cache hit counted" true (hits_warm > hits_cold);
+  Ba_serve.Client.close cl;
+  Ba_serve.Server.stop h
+
 (* The determinism wall, through the socket: the same mixed batch served
    by a -j1 server and a -j4 server (both from a cold cache) must produce
    byte-identical response bodies. *)
@@ -510,6 +549,8 @@ let suites =
           test_server_ping_align_metrics;
         Alcotest.test_case "-j1 vs -j4 byte-identical" `Slow
           test_server_jobs_byte_identical;
+        Alcotest.test_case "warm request served from the cache" `Slow
+          test_server_warm_from_cache;
         Alcotest.test_case "overload sheds load" `Slow test_server_overload;
         Alcotest.test_case "SIGTERM drains gracefully" `Slow
           test_server_sigterm_drain;

@@ -7,10 +7,11 @@
    direct {!Ba_exec.Engine.run} on that layout produces.  Unit tests pin
    the tricky layout legs (inserted jumps, via-jump returns, truncation
    mid-call, switch/vcall varints); QCheck properties extend the claim to
-   arbitrary generated programs and all four alignment algorithms; the
-   harness-level test proves the rendered tables are byte-identical with
-   replay on and off; and the memo gate proves the record-once promise —
-   one full evaluation costs exactly one interpreter run. *)
+   arbitrary generated programs and all four alignment algorithms; a
+   real-workload test holds the harness's simulator entry points (Alpha
+   model included) to the same equality; and the memo gate proves the
+   record-once promise — one full evaluation costs exactly one interpreter
+   run. *)
 
 open Ba_ir
 open Ba_layout
@@ -320,25 +321,58 @@ let test_record_once_memo_gate () =
   Alcotest.(check int) "still a single miss" 1 misses;
   Alcotest.(check bool) "subsequent lookups hit" true (hits > 0)
 
-(* Rendered tables must be byte-identical whether the harness interprets
-   every image or replays the recorded trace. *)
-let test_tables_identical_with_replay_off () =
-  let ws = List.filter_map Ba_workloads.Spec.by_name [ "alvinn"; "compress" ] in
-  Ba_workloads.Profiled.clear ();
-  let direct =
-    Ba_report.Harness.evaluate_suite ~max_steps:2_000 ~jobs:1 ~replay:false ws
-  in
-  Ba_workloads.Profiled.clear ();
-  let replay = Ba_report.Harness.evaluate_suite ~max_steps:2_000 ~jobs:1 ws in
+(* Replay = interpret on real workloads, through the two simulator entry
+   points the harness scores with: every wall cell's image, run with the
+   recorded trace and without it, must agree on the engine result, each
+   of the seven architectures' books and penalty cycles, and the Table 2
+   trace statistics; the Figure 4 Alpha 21064 model must agree on its
+   result and cycle count. *)
+let test_simulate_replay_equals_interpret () =
+  let max_steps = 2_000 in
   List.iter
-    (fun (name, render) ->
-      Alcotest.(check string) name (render direct) (render replay))
-    [
-      ("table2", Ba_report.Tables.table2);
-      ("table3", Ba_report.Tables.table3);
-      ("table4", Ba_report.Tables.table4);
-      ("fig4", Ba_report.Tables.fig4);
-    ]
+    (fun name ->
+      let program, profile, trace =
+        Ba_workloads.Profiled.get_traced ~max_steps (Matrix.workload name)
+      in
+      List.iter
+        (fun (algo, arch) ->
+          let what field =
+            Printf.sprintf "%s/%s: %s" name (Ba_core.Align.algo_name algo) field
+          in
+          let same field a b =
+            Alcotest.(check bool) (what field) true (compare a b = 0)
+          in
+          let image = Matrix.image_for ~profile program algo ~arch in
+          let archs = Matrix.archs_for image profile in
+          let direct = Ba_sim.Runner.simulate ~max_steps ~archs image in
+          let replay = Ba_sim.Runner.simulate ~max_steps ~trace ~archs image in
+          same "engine result" direct.Ba_sim.Runner.result replay.Ba_sim.Runner.result;
+          Array.iteri
+            (fun i (a, d) ->
+              let label = Ba_sim.Bep.arch_label a in
+              let r = snd replay.Ba_sim.Runner.sims.(i) in
+              same (label ^ " counts") (Ba_sim.Bep.counts d) (Ba_sim.Bep.counts r);
+              Alcotest.(check int) (what (label ^ " bep")) (Ba_sim.Bep.bep d)
+                (Ba_sim.Bep.bep r))
+            direct.Ba_sim.Runner.sims;
+          let summary (o : Ba_sim.Runner.outcome) =
+            Trace_stats.summarize o.Ba_sim.Runner.stats ~program
+              ~insns:o.Ba_sim.Runner.result.Engine.insns
+          in
+          same "trace statistics" (summary direct) (summary replay);
+          let alpha ?trace () =
+            let result, a =
+              Ba_sim.Runner.simulate_alpha ~max_steps ~fp_fraction:0.5 ?trace image
+            in
+            (result, Ba_sim.Alpha.cycles a ~insns:result.Engine.insns)
+          in
+          let direct_result, direct_cycles = alpha () in
+          let replay_result, replay_cycles = alpha ~trace () in
+          same "alpha result" direct_result replay_result;
+          Alcotest.(check (float 0.0)) (what "alpha cycles") direct_cycles
+            replay_cycles)
+        Matrix.wall_cells)
+    [ "alvinn"; "compress" ]
 
 (* -- QCheck properties ----------------------------------------------------- *)
 
@@ -489,8 +523,8 @@ let suites =
       [
         Alcotest.test_case "record-once memo gate" `Slow
           test_record_once_memo_gate;
-        Alcotest.test_case "tables identical with replay off" `Slow
-          test_tables_identical_with_replay_off;
+        Alcotest.test_case "replay = interpret: simulate, alpha" `Slow
+          test_simulate_replay_equals_interpret;
       ] );
     ( "trace.fuzz",
       List.map
