@@ -790,7 +790,7 @@ type bound_cell = {
 let bound_eval ~max_steps (w, al, ar) =
   let _program, profile = Ba_workloads.Profiled.get ~max_steps w in
   let image = Query.image al ~arch:ar profile in
-  let sim_arch = Ba_bound.Analyze.arch_of_model ar ~profile image in
+  let sim_arch = Ba_delta.Eval.(to_arch (spec_of_model ar)) ~image ~profile in
   {
     b_workload = w;
     b_algo = al;

@@ -1,21 +1,25 @@
 (* Experiment driver: regenerates every table and figure of the paper's
-   evaluation, plus the ablations called out in DESIGN.md.
+   evaluation, plus the studies and ablations described in DESIGN.md.
 
      experiments table1 | table2 | table3 | table4 | fig4 | all
+     experiments placement | interproc | gap
      experiments ablation-order | ablation-tryn | ablation-penalty
+               | ablation-unroll | ablation-refine | ablation-cross-input
+               | ablation-algos
      experiments calibrate
 
-   All commands accept --max-steps to trade fidelity for speed, and
-   --only PROG[,PROG...] to restrict the workload set.  The table/figure
-   commands additionally take -j JOBS (default: BA_JOBS or the domain
-   count) to evaluate workloads on a deterministic Ba_par pool; output is
-   byte-identical whatever the job count. *)
+   Every command but table1 accepts --max-steps to trade fidelity for
+   speed, and --only PROG[,PROG...] to restrict the workload set.  The
+   table, figure, placement, interproc and gap commands additionally take
+   -j JOBS (default: BA_JOBS or the domain count) to evaluate workloads on
+   a deterministic Ba_par pool; output is byte-identical whatever the job
+   count. *)
 
 open Cmdliner
 
-(* Positive-integer options share the budget's parser, so a zero or
-   negative value is a usage error with the same message everywhere. *)
-let positive_conv =
+(* The budget parser is branch_align's, so a zero or negative value is a
+   usage error with the same message in both CLIs. *)
+let max_steps_conv =
   let parse s =
     Result.map_error (fun e -> `Msg e) (Ba_workloads.Spec.max_steps_of_string s)
   in
@@ -25,7 +29,7 @@ let max_steps_arg =
   let doc = "Execution budget in semantic block visits per run." in
   Arg.(
     value
-    & opt positive_conv Ba_workloads.Spec.default_max_steps
+    & opt max_steps_conv Ba_workloads.Spec.default_max_steps
     & info [ "max-steps" ] ~doc)
 
 (* Names resolve inside the converter: an unknown workload is a usage
@@ -46,10 +50,6 @@ let only_arg =
 let select_or defaults = function [] -> defaults | ws -> ws
 let select = select_or Ba_workloads.Spec.all
 let named = List.map (fun n -> Option.get (Ba_workloads.Spec.by_name n))
-
-let tryn_arg =
-  let doc = "Group size for the TryN algorithm (the paper uses 15)." in
-  Arg.(value & opt positive_conv 15 & info [ "tryn" ] ~doc)
 
 (* Strict job-count parsing, shared with BA_JOBS: zero, negative and
    garbage values are command-line errors, never silent defaults. *)
@@ -84,13 +84,10 @@ let metrics_arg =
   in
   Arg.(value & opt ~vopt:(Some Ba_obs.Sink.Ascii) (some fmt) None & info [ "metrics" ] ~doc)
 
-let evaluate ~max_steps ~tryn ~only ?jobs () =
-  Ba_report.Harness.evaluate_suite ~max_steps ~tryn ?jobs (select only)
-
 let print_table1 () = print_string (Ba_report.Tables.table1 ())
 
-let run_table which max_steps only tryn jobs =
-  let evals = evaluate ~max_steps ~tryn ~only ?jobs () in
+let run_table which max_steps only jobs =
+  let evals = Ba_report.Harness.evaluate_suite ~max_steps ?jobs (select only) in
   let render =
     match which with
     | `Table2 -> Ba_report.Tables.table2
@@ -100,7 +97,7 @@ let run_table which max_steps only tryn jobs =
   in
   print_string (render evals)
 
-let run_all max_steps only tryn jobs timings metrics =
+let run_all max_steps only jobs timings metrics =
   let registry =
     match metrics with None -> None | Some _ -> Some (Ba_obs.Registry.create ())
   in
@@ -109,7 +106,7 @@ let run_all max_steps only tryn jobs timings metrics =
   in
   let evals, stats =
     collected (fun () ->
-        Ba_report.Harness.evaluate_suite_timed ~max_steps ~tryn ?jobs (select only))
+        Ba_report.Harness.evaluate_suite_timed ~max_steps ?jobs (select only))
   in
   print_endline "== Table 1: branch cost model (cycles) ==";
   print_string (Ba_report.Tables.table1 ());
@@ -145,10 +142,8 @@ let placement_format_arg =
 
 (* The conflict-aware placement table: penalty cycles with and without the
    placement post-pass, across the seven simulated architectures. *)
-let run_placement max_steps only tryn jobs format =
-  let rows =
-    Ba_report.Placement.evaluate_suite ~max_steps ~tryn ?jobs (select only)
-  in
+let run_placement max_steps only jobs format =
+  let rows = Ba_report.Placement.evaluate_suite ~max_steps ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Placement.render rows)
   | `Json ->
@@ -170,8 +165,8 @@ let run_interproc max_steps only jobs format =
 (* The measured optimality-gap table: exact simulated penalty cycles of
    each algorithm's layout against the Optimal-k branch-and-bound winner,
    whose search is pruned by the static Ba_bound lower bounds. *)
-let run_gap max_steps only tryn jobs k format =
-  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ~tryn ?jobs (select only) in
+let run_gap max_steps only jobs k format =
+  let rows = Ba_report.Gap.evaluate_suite ~max_steps ~k ?jobs (select only) in
   match format with
   | `Ascii -> print_string (Ba_report.Gap.render rows)
   | `Json -> print_endline (Ba_util.Json.to_string (Ba_report.Gap.to_json rows))
@@ -205,412 +200,223 @@ let calibrate max_steps only =
 
 (* -- ablations ------------------------------------------------------------- *)
 
-(* Ablation A (§6.1): chain ordering strategy, weight-descending vs the
-   Pettis & Hansen BT/FNT precedence, measured on the BT/FNT architecture. *)
-let ablation_order max_steps only =
-  let workloads =
-    select_or (named [ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]) only
+(* The paper's one metric: an image's instructions plus its branch penalty
+   on [arch] (in {!Ba_report.Harness.full_archs} form), over the original
+   layout's instruction count, measured by replaying [trace].  Every
+   ablation cell is scored here. *)
+let relative_cpi ~max_steps ~profile ~trace ~arch ~orig_insns image =
+  let out =
+    Ba_report.Harness.run_image ~max_steps ~profile ~trace ~archs:[ arch ] image
   in
-  let columns =
-    Ba_util.Ascii_table.
-      [ column ~align:Left "workload"; column "Orig"; column "weight-desc"; column "btfnt-prec" ]
-  in
+  let _, sim = out.Ba_sim.Runner.sims.(0) in
+  Ba_sim.Bep.relative_cpi sim ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns
+    ~orig_insns
+
+let orig_insns program trace =
+  (Ba_trace.Replay.run
+     (Ba_trace.Flat.of_image (Ba_layout.Image.original program))
+     trace)
+    .Ba_exec.Engine.insns
+
+let print_ablation title headers rows =
+  let open Ba_util.Ascii_table in
+  print_endline title;
+  print_string
+    (render ~columns:(column ~align:Left "workload" :: List.map column headers) ~rows)
+
+(* An ablation over suite workloads: one row per workload, one column per
+   image function, every cell scored on [arch] against the workload's
+   memoized profile and trace. *)
+let ablation ~title ~defaults ~arch columns max_steps only =
   let rows =
     List.map
       (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
+        let program, profile, trace =
+          Ba_workloads.Profiled.get_traced ~max_steps w
         in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace ~archs:[ Ba_sim.Bep.Static_btfnt ]
-            (Ba_layout.Image.original ~profile program)
+        let cpi =
+          relative_cpi ~max_steps ~profile ~trace ~arch
+            ~orig_insns:(orig_insns program trace)
         in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let run strategy =
-          let image =
-            Ba_core.Align.image (Ba_core.Align.Tryn 15) ~strategy
-              ~arch:Ba_core.Cost_model.Btfnt profile
-          in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace
-              ~archs:[ Ba_sim.Bep.Static_btfnt ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns
-            ~orig_insns
-        in
-        let _, orig_sim = orig_out.Ba_sim.Runner.sims.(0) in
-        [
-          w.name;
-          Ba_util.Ascii_table.float_cell
-            (Ba_sim.Bep.relative_cpi orig_sim
-               ~insns:orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns);
-          Ba_util.Ascii_table.float_cell (run Ba_layout.Chain_order.Weight_desc);
-          Ba_util.Ascii_table.float_cell (run Ba_layout.Chain_order.Btfnt_precedence);
-        ])
-      workloads
+        w.name
+        :: List.map
+             (fun (_, image) -> Ba_util.Ascii_table.float_cell (cpi (image profile)))
+             columns)
+      (select_or (named defaults) only)
   in
-  print_endline "Ablation A: chain ordering strategy (BT/FNT relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+  print_ablation title (List.map fst columns) rows
+
+let orig_column =
+  ("Orig", fun profile ->
+    Ba_layout.Image.original ~profile (Ba_cfg.Profile.program profile))
+
+let aligned ?strategy ?table ?refine_rounds algo arch profile =
+  Ba_core.Align.image algo ?strategy ?table ?refine_rounds ~arch profile
+
+let try15 = Ba_core.Align.Tryn 15
+
+let btfnt = `Arch Ba_sim.Bep.Static_btfnt
+let fallthrough = `Arch Ba_sim.Bep.Static_fallthrough
+
+(* Ablation A (§6.1): chain ordering strategy, weight-descending vs the
+   Pettis & Hansen BT/FNT precedence, measured on the BT/FNT architecture. *)
+let ablation_order =
+  ablation ~title:"Ablation A: chain ordering strategy (BT/FNT relative CPI, Try15)"
+    ~defaults:[ "compress"; "eqntott"; "espresso"; "gcc"; "li"; "sc" ]
+    ~arch:btfnt
+    [
+      orig_column;
+      ("weight-desc", aligned ~strategy:Ba_layout.Chain_order.Weight_desc try15 Btfnt);
+      ("btfnt-prec", aligned ~strategy:Ba_layout.Chain_order.Btfnt_precedence try15 Btfnt);
+    ]
 
 (* Ablation B (§4): TryN group size.  Joint placement of a whole loop's
    edges (the paper's Figure 3) matters on architectures that predict taken
    branches, so this ablation measures on LIKELY over the loop-heavy
    workloads. *)
-let ablation_tryn max_steps only =
-  let workloads =
-    select_or (named [ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ]) only
-  in
-  let ns = [ 1; 5; 10; 15 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: List.map (fun n -> Ba_util.Ascii_table.column (Printf.sprintf "Try%d" n)) ns
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_insns =
-          (Ba_trace.Replay.run
-             (Ba_trace.Flat.of_image (Ba_layout.Image.original ~profile program))
-             trace)
-            .Ba_exec.Engine.insns
-        in
-        w.name
-        :: List.map
-             (fun n ->
-               let image =
-                 Ba_core.Align.image (Ba_core.Align.Tryn n)
-                   ~arch:Ba_core.Cost_model.Likely profile
-               in
-               let out =
-                 Ba_sim.Runner.simulate ~max_steps ~trace
-                   ~archs:
-                     [ Ba_sim.Bep.Static_likely
-                         (Ba_predict.Likely_bits.build image profile) ]
-                   image
-               in
-               let _, sim = out.Ba_sim.Runner.sims.(0) in
-               Ba_util.Ascii_table.float_cell
-                 (Ba_sim.Bep.relative_cpi sim
-                    ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns))
-             ns)
-      workloads
-  in
-  print_endline "Ablation B: TryN group size (LIKELY relative CPI)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+let ablation_tryn =
+  ablation ~title:"Ablation B: TryN group size (LIKELY relative CPI)"
+    ~defaults:[ "wave5"; "hydro2d"; "compress"; "tomcatv"; "espresso"; "gcc" ]
+    ~arch:`Likely
+    (List.map
+       (fun n -> (Printf.sprintf "Try%d" n, aligned (Ba_core.Align.Tryn n) Likely))
+       [ 1; 5; 10; 15 ])
 
 (* Ablation C: cost-model sensitivity — sweep the mispredict penalty used by
    the optimizer and measure on the unchanged simulator. *)
-let ablation_penalty max_steps only =
-  let workloads =
-    select_or (named [ "espresso" ]) only
-  in
-  let penalties = [ 1.0; 2.0; 4.0; 8.0; 16.0 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: List.map
-         (fun p -> Ba_util.Ascii_table.column (Printf.sprintf "mp=%.0f" p))
-         penalties
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_insns =
-          (Ba_trace.Replay.run
-             (Ba_trace.Flat.of_image (Ba_layout.Image.original ~profile program))
-             trace)
-            .Ba_exec.Engine.insns
-        in
-        w.name
-        :: List.map
-             (fun mispredict ->
-               let table =
-                 { Ba_core.Cost_model.default_table with mispredict }
-               in
-               let image =
-                 Ba_core.Align.image (Ba_core.Align.Tryn 15) ~table
-                   ~arch:Ba_core.Cost_model.Fallthrough profile
-               in
-               let out =
-                 Ba_sim.Runner.simulate ~max_steps ~trace
-                   ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-               in
-               let _, sim = out.Ba_sim.Runner.sims.(0) in
-               Ba_util.Ascii_table.float_cell
-                 (Ba_sim.Bep.relative_cpi sim
-                    ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns))
-             penalties)
-      workloads
-  in
-  print_endline
-    "Ablation C: optimizer mispredict-penalty sweep (FALLTHROUGH relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+let ablation_penalty =
+  ablation
+    ~title:"Ablation C: optimizer mispredict-penalty sweep (FALLTHROUGH relative CPI, Try15)"
+    ~defaults:[ "espresso" ] ~arch:fallthrough
+    (List.map
+       (fun mispredict ->
+         ( Printf.sprintf "mp=%.0f" mispredict,
+           aligned ~table:{ Ba_core.Cost_model.default_table with mispredict } try15
+             Fallthrough ))
+       [ 1.0; 2.0; 4.0; 8.0; 16.0 ])
 
 (* Ablation E: iterative direction refinement for BT/FNT -- rounds after
    the first re-run Try15 with branch directions read off the previous
    layout instead of DFS guesses. *)
-let ablation_refine max_steps only =
-  let workloads =
-    select_or (named [ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ]) only
-  in
-  let rounds = [ 1; 2; 3 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: Ba_util.Ascii_table.column "Orig"
+let ablation_refine =
+  ablation ~title:"Ablation E: direction-refinement rounds (BT/FNT relative CPI, Try15)"
+    ~defaults:[ "compress"; "li"; "eqntott"; "wave5"; "hydro2d"; "gcc" ]
+    ~arch:btfnt
+    (orig_column
     :: List.map
-         (fun r -> Ba_util.Ascii_table.column (Printf.sprintf "rounds=%d" r))
-         rounds
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_image = Ba_layout.Image.original ~profile program in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace
-            ~archs:[ Ba_sim.Bep.Static_btfnt ] orig_image
-        in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let cpi_of out =
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim
-            ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
-        (w.name :: [ Ba_util.Ascii_table.float_cell (cpi_of orig_out) ])
-        @ List.map
-            (fun refine_rounds ->
-              let image =
-                Ba_core.Align.image (Ba_core.Align.Tryn 15)
-                  ~strategy:Ba_layout.Chain_order.Btfnt_precedence
-                  ~arch:Ba_core.Cost_model.Btfnt ~refine_rounds profile
-              in
-              Ba_util.Ascii_table.float_cell
-                (cpi_of
-                   (Ba_sim.Runner.simulate ~max_steps ~trace
-                      ~archs:[ Ba_sim.Bep.Static_btfnt ] image)))
-            rounds)
-      workloads
-  in
-  print_endline "Ablation E: direction-refinement rounds (BT/FNT relative CPI, Try15)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+         (fun refine_rounds ->
+           ( Printf.sprintf "rounds=%d" refine_rounds,
+             aligned ~strategy:Ba_layout.Chain_order.Btfnt_precedence ~refine_rounds try15
+               Btfnt ))
+         [ 1; 2; 3 ])
+
+(* Ablation G: all four algorithms side by side on one architecture --
+   the paper's qualitative claim that the cost-model algorithms beat Greedy
+   (§4), including the cheap Cost heuristic it describes but does not
+   tabulate. *)
+let ablation_algos =
+  ablation ~title:"Ablation G: algorithm comparison (FALLTHROUGH relative CPI)"
+    ~defaults:[ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ]
+    ~arch:fallthrough
+    (orig_column
+    :: List.map
+         (fun algo -> (Ba_core.Align.algo_name algo, aligned algo Fallthrough))
+         Ba_core.Align.[ Greedy; Cost; Tryn 5; Tryn 15 ])
 
 (* Ablation D (§3): the ALVINN suggestion — duplicate single-block loop
-   bodies so the copies need no branch at all; combined with alignment. *)
+   bodies so the copies need no branch at all; combined with alignment.
+   The unrolled variants are different programs with their own decision
+   streams, so each is recorded once; every cell is scored against the
+   un-unrolled original's instruction count. *)
 let ablation_unroll max_steps only =
-  let workloads =
-    select_or (named [ "alvinn"; "ear" ]) only
-  in
   let factors = [ 2; 4 ] in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: Ba_util.Ascii_table.column "sites"
-    :: Ba_util.Ascii_table.column "Orig"
-    :: Ba_util.Ascii_table.column "Try15"
-    :: List.map
-         (fun f -> Ba_util.Ascii_table.column (Printf.sprintf "unroll%d+Try15" f))
-         factors
-  in
   let rows =
     List.map
       (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        (* One recording pass per distinct program (the unrolled variants are
-           different programs with their own decision streams). *)
-        let base_profile, base_trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
+        let program, profile, trace = Ba_workloads.Profiled.get_traced ~max_steps w in
+        let orig_insns = orig_insns program trace in
+        let cpi ~profile ~trace image =
+          Ba_util.Ascii_table.float_cell
+            (relative_cpi ~max_steps ~profile ~trace ~arch:fallthrough ~orig_insns image)
         in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace:base_trace
-            ~archs:[ Ba_sim.Bep.Static_fallthrough ]
-            (Ba_layout.Image.original program)
-        in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let ft_cpi_traced ~profile ~trace =
-          let image =
-            Ba_core.Align.image (Ba_core.Align.Tryn 15)
-              ~arch:Ba_core.Cost_model.Fallthrough profile
-          in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace
-              ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns
-            ~orig_insns
-        in
-        let ft_cpi program =
+        let unrolled factor =
           let profile, trace =
-            Ba_trace.Record.profile_and_record ~max_steps program
+            Ba_trace.Record.profile_and_record ~max_steps
+              (Ba_core.Unroll.unroll_self_loops ~factor program)
           in
-          ft_cpi_traced ~profile ~trace
+          cpi ~profile ~trace (aligned try15 Fallthrough profile)
         in
-        ignore ft_cpi;
-        let _, orig_sim = orig_out.Ba_sim.Runner.sims.(0) in
-        let sites = List.length (Ba_core.Unroll.unrollable_self_loops program ~factor:2) in
         [
           w.name;
-          string_of_int sites;
-          Ba_util.Ascii_table.float_cell
-            (Ba_sim.Bep.relative_cpi orig_sim
-               ~insns:orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns);
-          Ba_util.Ascii_table.float_cell
-            (ft_cpi_traced ~profile:base_profile ~trace:base_trace);
+          string_of_int
+            (List.length (Ba_core.Unroll.unrollable_self_loops program ~factor:2));
+          cpi ~profile ~trace (Ba_layout.Image.original ~profile program);
+          cpi ~profile ~trace (aligned try15 Fallthrough profile);
         ]
-        @ List.map
-            (fun factor ->
-              Ba_util.Ascii_table.float_cell
-                (ft_cpi (Ba_core.Unroll.unroll_self_loops ~factor program)))
-            factors)
-      workloads
+        @ List.map unrolled factors)
+      (select_or (named [ "alvinn"; "ear" ]) only)
   in
-  print_endline
+  print_ablation
     "Ablation D: self-loop unrolling + Try15 (FALLTHROUGH relative CPI vs the\n\
-     un-unrolled original program's instruction count)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+     un-unrolled original program's instruction count)"
+    ("sites" :: "Orig" :: "Try15"
+    :: List.map (Printf.sprintf "unroll%d+Try15") factors)
+    rows
 
 (* Ablation F: profile robustness -- align with a profile gathered on one
    input (seed), evaluate on another.  The paper profiles and evaluates on
    the same input; this quantifies how much that flatters the results. *)
 let ablation_cross_input max_steps only =
-  let workloads =
-    select_or (named [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ]) only
-  in
-  let columns =
-    Ba_util.Ascii_table.
-      [
-        column ~align:Left "workload"; column "Orig";
-        column "same-input"; column "cross-input"; column "merged-2";
-      ]
-  in
   let rows =
     List.map
       (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let alt = Ba_ir.Program.with_seed program (program.Ba_ir.Program.seed + 1) in
-        let alt2 = Ba_ir.Program.with_seed program (program.Ba_ir.Program.seed + 2) in
+        let program, profile, _ = Ba_workloads.Profiled.get_traced ~max_steps w in
+        let seed = program.Ba_ir.Program.seed in
+        let alt = Ba_ir.Program.with_seed program (seed + 1) in
         (* Evaluation always runs the alternate input, so one recording of
            [alt] replays through every candidate layout below. *)
         let alt_profile, alt_trace =
           Ba_trace.Record.profile_and_record ~max_steps alt
         in
-        let eval_cpi image_program decisions =
-          let image = Ba_layout.Image.build image_program decisions in
-          let out =
-            Ba_sim.Runner.simulate ~max_steps ~trace:alt_trace
-              ~archs:[ Ba_sim.Bep.Static_fallthrough ] image
-          in
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          (out.Ba_sim.Runner.result.Ba_exec.Engine.insns, Ba_sim.Bep.bep sim)
-        in
-        let orig_insns, orig_bep =
-          eval_cpi alt
-            (Array.init (Ba_ir.Program.n_procs alt) (fun p ->
-                 Ba_layout.Decision.identity (Ba_ir.Program.proc alt p)))
-        in
-        let cpi_of (insns, bep) =
-          float_of_int (insns + bep) /. float_of_int orig_insns
+        let cpi image =
+          Ba_util.Ascii_table.float_cell
+            (relative_cpi ~max_steps ~profile:alt_profile ~trace:alt_trace
+               ~arch:fallthrough ~orig_insns:(orig_insns alt alt_trace) image)
         in
         let aligned_with profile =
-          Ba_core.Align.align_program (Ba_core.Align.Tryn 15)
-            ~arch:Ba_core.Cost_model.Fallthrough profile
+          Ba_layout.Image.build alt
+            (Ba_core.Align.align_program try15 ~arch:Ba_core.Cost_model.Fallthrough
+               profile)
         in
-        let profile_of prog = Ba_exec.Engine.profile_program ~max_steps prog in
-        let same = aligned_with alt_profile in
-        let cross = aligned_with (profile_of program) in
         let merged =
           (* Two training inputs, neither the evaluation input. *)
-          let p1 = profile_of program in
-          let prog2 = Ba_ir.Program.with_seed program alt2.Ba_ir.Program.seed in
           let p2 = Ba_cfg.Profile.create program in
           let (_ : Ba_exec.Engine.result) =
-            Ba_exec.Engine.run ~max_steps ~profile:p2 (Ba_layout.Image.original prog2)
+            Ba_exec.Engine.run ~max_steps ~profile:p2
+              (Ba_layout.Image.original (Ba_ir.Program.with_seed program (seed + 2)))
           in
-          aligned_with (Ba_cfg.Profile.merge [ p1; p2 ])
+          Ba_cfg.Profile.merge [ profile; p2 ]
         in
         [
           w.name;
-          Ba_util.Ascii_table.float_cell (cpi_of (orig_insns, orig_bep));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt same));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt cross));
-          Ba_util.Ascii_table.float_cell (cpi_of (eval_cpi alt merged));
+          cpi (Ba_layout.Image.original alt);
+          cpi (aligned_with alt_profile);
+          cpi (aligned_with profile);
+          cpi (aligned_with merged);
         ])
-      workloads
+      (select_or (named [ "espresso"; "gcc"; "li"; "sc"; "compress"; "spice" ]) only)
   in
-  print_endline
+  print_ablation
     "Ablation F: profile robustness (FALLTHROUGH relative CPI on a held-out\n\
-     input; aligned with the same input, a different one, or two merged)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
-
-(* Ablation G: all four algorithms side by side on one architecture --
-   the paper's qualitative claim that the cost-model algorithms beat Greedy
-   (Â§4), including the cheap Cost heuristic it describes but does not
-   tabulate. *)
-let ablation_algos max_steps only =
-  let workloads =
-    select_or (named [ "alvinn"; "hydro2d"; "espresso"; "gcc"; "sc"; "groff" ]) only
-  in
-  let algos =
-    [ Ba_core.Align.Greedy; Ba_core.Align.Cost; Ba_core.Align.Tryn 5;
-      Ba_core.Align.Tryn 15 ]
-  in
-  let columns =
-    Ba_util.Ascii_table.column ~align:Ba_util.Ascii_table.Left "workload"
-    :: Ba_util.Ascii_table.column "Orig"
-    :: List.map
-         (fun a -> Ba_util.Ascii_table.column (Ba_core.Align.algo_name a))
-         algos
-  in
-  let rows =
-    List.map
-      (fun (w : Ba_workloads.Spec.t) ->
-        let program = w.build () in
-        let profile, trace =
-          Ba_trace.Record.profile_and_record ~max_steps program
-        in
-        let orig_image = Ba_layout.Image.original ~profile program in
-        let orig_out =
-          Ba_sim.Runner.simulate ~max_steps ~trace
-            ~archs:[ Ba_sim.Bep.Static_fallthrough ] orig_image
-        in
-        let orig_insns = orig_out.Ba_sim.Runner.result.Ba_exec.Engine.insns in
-        let cpi_of out =
-          let _, sim = out.Ba_sim.Runner.sims.(0) in
-          Ba_sim.Bep.relative_cpi sim
-            ~insns:out.Ba_sim.Runner.result.Ba_exec.Engine.insns ~orig_insns
-        in
-        (w.name :: [ Ba_util.Ascii_table.float_cell (cpi_of orig_out) ])
-        @ List.map
-            (fun algo ->
-              let image =
-                Ba_core.Align.image algo ~arch:Ba_core.Cost_model.Fallthrough profile
-              in
-              Ba_util.Ascii_table.float_cell
-                (cpi_of
-                   (Ba_sim.Runner.simulate ~max_steps ~trace
-                      ~archs:[ Ba_sim.Bep.Static_fallthrough ] image)))
-            algos)
-      workloads
-  in
-  print_endline "Ablation G: algorithm comparison (FALLTHROUGH relative CPI)";
-  print_string (Ba_util.Ascii_table.render ~columns ~rows)
+     input; aligned with the same input, a different one, or two merged)"
+    [ "Orig"; "same-input"; "cross-input"; "merged-2" ]
+    rows
 
 (* -- command wiring ----------------------------------------------------------- *)
 
 let cmd name doc f =
   Cmd.v (Cmd.info name ~doc)
-    Term.(const f $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg)
+    Term.(const f $ max_steps_arg $ only_arg $ jobs_arg)
 
 let cmd2 name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const f $ max_steps_arg $ only_arg)
@@ -630,21 +436,21 @@ let () =
       [
         table1_cmd;
         cmd "table2" "Reproduce Table 2 (traced program attributes)."
-          (fun ms only tryn jobs -> run_table `Table2 ms only tryn jobs);
+          (run_table `Table2);
         cmd "table3" "Reproduce Table 3 (static architectures)."
-          (fun ms only tryn jobs -> run_table `Table3 ms only tryn jobs);
+          (run_table `Table3);
         cmd "table4" "Reproduce Table 4 (dynamic architectures)."
-          (fun ms only tryn jobs -> run_table `Table4 ms only tryn jobs);
+          (run_table `Table4);
         cmd "fig4" "Reproduce Figure 4 (Alpha 21064 execution time)."
-          (fun ms only tryn jobs -> run_table `Fig4 ms only tryn jobs);
+          (run_table `Fig4);
         Cmd.v
           (Cmd.info "placement"
              ~doc:
                "Penalty cycles with and without the conflict-aware placement \
                 post-pass (Try15/BTB baseline, seven architectures).")
           Term.(
-            const run_placement $ max_steps_arg $ only_arg $ tryn_arg
-            $ jobs_arg $ placement_format_arg);
+            const run_placement $ max_steps_arg $ only_arg $ jobs_arg
+            $ placement_format_arg);
         Cmd.v
           (Cmd.info "interproc"
              ~doc:
@@ -665,7 +471,7 @@ let () =
                 branch-and-bound winner (pruned by static lower bounds), \
                 per workload and cost-model architecture.")
           Term.(
-            const run_gap $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg
+            const run_gap $ max_steps_arg $ only_arg $ jobs_arg
             $ Arg.(
                 value & opt int 4
                 & info [ "k" ]
@@ -674,7 +480,7 @@ let () =
         Cmd.v
           (Cmd.info "all" ~doc:"Reproduce every table and figure.")
           Term.(
-            const run_all $ max_steps_arg $ only_arg $ tryn_arg $ jobs_arg
+            const run_all $ max_steps_arg $ only_arg $ jobs_arg
             $ timings_arg $ metrics_arg);
         cmd2 "calibrate" "Print run lengths of each workload." calibrate;
         cmd2 "ablation-order" "Chain-ordering ablation (§6.1)." ablation_order;

@@ -240,15 +240,3 @@ let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
 
 let bounds ?penalties ?return_stack_depth ~arch ~profile image =
   (analyze ?penalties ?return_stack_depth ~arch ~profile image).total
-
-(* The harness's canonical simulated architecture for each cost-model arch;
-   LIKELY hint bits are image-derived, exactly as Harness.run_image builds
-   them. *)
-let arch_of_model model ~profile image =
-  match model with
-  | Ba_core.Cost_model.Fallthrough -> Bep.Static_fallthrough
-  | Ba_core.Cost_model.Btfnt -> Bep.Static_btfnt
-  | Ba_core.Cost_model.Likely ->
-    Bep.Static_likely (Likely_bits.build image profile)
-  | Ba_core.Cost_model.Pht -> Bep.Pht_direct { entries = 4096 }
-  | Ba_core.Cost_model.Btb -> Bep.Btb_arch { entries = 256; assoc = 4 }

@@ -68,13 +68,3 @@ val bounds :
   Ba_layout.Image.t ->
   Domain.interval
 (** Just the whole-layout interval of {!analyze}. *)
-
-val arch_of_model :
-  Ba_core.Cost_model.arch ->
-  profile:Ba_cfg.Profile.t ->
-  Ba_layout.Image.t ->
-  Ba_sim.Bep.arch
-(** The harness's canonical simulated architecture for a cost-model arch
-    (LIKELY builds its hint bits from the given image, as the harness
-    does); used by the [bound] lint stage and the optimality-gap report to
-    pair a cost model with the simulator that judges it. *)

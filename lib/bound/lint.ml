@@ -12,7 +12,8 @@ let all_algos =
 
 let check ~algo ~arch ~profile image =
   let program = image.Ba_layout.Image.program in
-  let sim_arch = Analyze.arch_of_model arch ~profile image in
+  let spec = Ba_delta.Eval.spec_of_model arch in
+  let sim_arch = Ba_delta.Eval.to_arch spec ~image ~profile in
   let this = Analyze.bounds ~arch:sim_arch ~profile image in
   let label = Ba_sim.Bep.arch_label sim_arch in
   let wide =
@@ -36,7 +37,7 @@ let check ~algo ~arch ~profile image =
         else begin
           let decisions = Ba_core.Align.align_program other ~arch profile in
           let image' = Ba_layout.Image.build ~profile program decisions in
-          let other_arch = Analyze.arch_of_model arch ~profile image' in
+          let other_arch = Ba_delta.Eval.to_arch spec ~image:image' ~profile in
           let b = Analyze.bounds ~arch:other_arch ~profile image' in
           if b.Domain.hi < this.Domain.lo then
             Some

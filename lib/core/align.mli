@@ -10,10 +10,6 @@
     selects that model and defaults to [Btfnt], matching the architecture
     Pettis & Hansen tuned for.
 
-    [delta] (default [true]) selects {!Tryn}'s incremental leaf
-    evaluation; decisions are bit-identical either way, it only changes
-    how search leaves are priced.
-
     [refine_rounds] (default 1) enables iterative refinement: rounds after
     the first re-run the algorithm with taken-branch directions taken from
     the previous round's actual layout instead of DFS guesses.  Only the
@@ -27,8 +23,8 @@ type algo =
   | Tryn of int  (** group size; the paper's Try15 is [Tryn 15] *)
   | ExtTsp
       (** chain merging over the extended-TSP objective ({!Exttsp});
-          architecture-oblivious like [Greedy], so [arch], [delta] and
-          [refine_rounds] do not apply *)
+          architecture-oblivious like [Greedy], so [arch] and [refine_rounds]
+          do not apply *)
 
 val algo_name : algo -> string
 
@@ -40,7 +36,6 @@ val algo_of_name : string -> (algo, string) result
 val align_proc :
   algo ->
   ?strategy:Ba_layout.Chain_order.strategy ->
-  ?delta:bool ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?min_weight:int ->
@@ -52,7 +47,6 @@ val align_proc :
 val align_program :
   algo ->
   ?strategy:Ba_layout.Chain_order.strategy ->
-  ?delta:bool ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?min_weight:int ->
@@ -63,7 +57,6 @@ val align_program :
 val image :
   algo ->
   ?strategy:Ba_layout.Chain_order.strategy ->
-  ?delta:bool ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?min_weight:int ->

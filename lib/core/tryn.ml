@@ -75,16 +75,16 @@ let distinct_sources group =
 (* Search one group: enumerate all feasible Fall/Taken assignments with
    branch-and-bound, returning the best assignment's links.
 
-   With [delta] (the default), leaf evaluation is incremental: a source's
-   cost depends only on its own chain successor ([site_cost] and
-   [flow_cost] read nothing else that the search mutates), and the search
-   only relinks edges of this group, so a cached per-source cost goes
-   stale exactly when a link or unlink names that source — dirty it then,
-   reprice only dirty sources at the next leaf.  The evaluation folds the
-   cached values in [sources] order, the same order [leaf_cost] folds, so
-   every leaf total — and therefore every chosen assignment — is
-   bit-identical to the full evaluation. *)
-let search_group ?(delta = true) ~arch ~table ctx chain group =
+   Leaf evaluation is incremental: a source's cost depends only on its own
+   chain successor ([site_cost] and [flow_cost] read nothing else that the
+   search mutates), and the search only relinks edges of this group, so a
+   cached per-source cost goes stale exactly when a link or unlink names
+   that source — dirty it then, reprice only dirty sources at the next
+   leaf.  The evaluation folds the cached values in [sources] order, the
+   same order [leaf_cost] folds, so every leaf total — and therefore every
+   chosen assignment — is bit-identical to the full evaluation that
+   [full_leaf] selects for the test reference. *)
+let search_group ~full_leaf ~arch ~table ctx chain group =
   let edges = Array.of_list group in
   let n = Array.length edges in
   let sources = distinct_sources group in
@@ -100,7 +100,7 @@ let search_group ?(delta = true) ~arch ~table ctx chain group =
     | None -> ()
   in
   let leaf () =
-    if not delta then leaf_cost ~arch ~table ctx chain sources
+    if full_leaf then leaf_cost ~arch ~table ctx chain sources
     else begin
       let acc = ref 0.0 in
       for i = 0 to n_src - 1 do
@@ -167,8 +167,8 @@ let m_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.link"
 let m_neither = Ba_obs.Counter.make ~unit_:"sites" "core.align.tryn.neither"
 let m_cold_link = Ba_obs.Counter.make ~unit_:"edges" "core.align.tryn.cold_link"
 
-let build_chains ?delta ~arch ?(table = Cost_model.default_table) ?(n = 15)
-    ?(min_weight = 2) (ctx : Ctx.t) =
+let build_chains_with ~full_leaf ~arch ?(table = Cost_model.default_table)
+    ?(n = 15) ?(min_weight = 2) (ctx : Ctx.t) =
   if n < 1 then invalid_arg "Tryn.build_chains: n must be positive";
   let chain = Ctx.fresh_chain ctx in
   let hot, cold = List.partition (fun (_, w) -> w >= min_weight) ctx.Ctx.edges in
@@ -177,7 +177,7 @@ let build_chains ?delta ~arch ?(table = Cost_model.default_table) ?(n = 15)
     (fun group ->
       Ba_obs.Histogram.observe m_group_size (List.length group);
       List.iter (fun ((e : Ba_cfg.Edge.t), _) -> Hashtbl.replace processed e ()) group;
-      let links = search_group ?delta ~arch ~table ctx chain group in
+      let links = search_group ~full_leaf ~arch ~table ctx chain group in
       List.iter
         (fun (src, dst) ->
           Ba_obs.Counter.incr m_link;
@@ -212,3 +212,9 @@ let build_chains ?delta ~arch ?(table = Cost_model.default_table) ?(n = 15)
       end)
     cold;
   chain
+
+let build_chains = build_chains_with ~full_leaf:false
+
+module For_testing = struct
+  let build_chains_full_leaf = build_chains_with ~full_leaf:true
+end

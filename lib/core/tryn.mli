@@ -10,21 +10,32 @@
     committed before moving to the next group, and edges below the weight
     threshold are linked greedily at the end.
 
-    [n] defaults to 15 as in the paper; the ablation benchmark sweeps it.
+    [n] defaults to 15 as in the paper; [experiments ablation-tryn] sweeps
+    it.
 
-    [delta] (default [true]) evaluates search leaves incrementally: each
-    group source's cost is cached and invalidated only when a link or
-    unlink touches that source, so a leaf costs O(relinked sources)
-    instead of O(group sources).  Leaf totals are folded in the same
-    order either way, so the chosen chains are bit-identical — the
-    equality gate in [test_delta.ml] holds both paths to the same
-    decisions. *)
+    Search leaves are priced incrementally: each group source's cost is
+    cached and invalidated only when a link or unlink touches that source,
+    so a leaf costs O(relinked sources) instead of O(group sources). *)
 
 val build_chains :
-  ?delta:bool ->
   arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   ?n:int ->
   ?min_weight:int ->
   Ctx.t ->
   Ba_layout.Chain.t
+
+module For_testing : sig
+  val build_chains_full_leaf :
+    arch:Cost_model.arch ->
+    ?table:Cost_model.table ->
+    ?n:int ->
+    ?min_weight:int ->
+    Ctx.t ->
+    Ba_layout.Chain.t
+  (** {!build_chains} with every search leaf priced from scratch by the
+      full leaf cost instead of the cache.  Leaf totals are folded in the
+      same order either way, so the chains must be bit-identical: this is
+      the reference of the [delta.gates] Try15 equality gate in
+      [test_delta.ml], and nothing else calls it. *)
+end

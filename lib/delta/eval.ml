@@ -50,8 +50,7 @@ let spec_label = function
     Printf.sprintf "pag%d/%d" history_bits branch_entries
   | Btb { entries; assoc } -> Printf.sprintf "btb%d/%d" entries assoc
 
-(* The same mapping as [Ba_bound.Analyze.arch_of_model] / the gap study:
-   each cost-model architecture's canonical simulated configuration. *)
+(* Each cost-model architecture's canonical simulated configuration. *)
 let spec_of_model = function
   | Ba_core.Cost_model.Fallthrough -> Fallthrough
   | Ba_core.Cost_model.Btfnt -> Btfnt

@@ -26,9 +26,11 @@ type spec =
 val spec_label : spec -> string
 
 val spec_of_model : Ba_core.Cost_model.arch -> spec
-(** Each cost-model architecture's canonical simulated configuration —
-    the same mapping the optimality-gap study uses (direct PHT 4096, BTB
-    256/4-way). *)
+(** Each cost-model architecture's canonical simulated configuration
+    (direct PHT 4096, BTB 256/4-way).  This is the one pairing of a cost
+    model with the simulator that judges it: the optimality-gap study,
+    the [bound] lint stage and [branch_align bound] all resolve it
+    through {!to_arch}, which builds LIKELY hint bits from the image. *)
 
 val to_arch :
   spec -> image:Ba_layout.Image.t -> profile:Ba_cfg.Profile.t -> Ba_sim.Bep.arch

@@ -5,7 +5,7 @@ type cell = {
   greedy : int;
   cost : int;
   exttsp : int;
-  tryn : int;
+  try15 : int;
   anneal : int;
   optimal : int;
   opt_lower : int;
@@ -16,7 +16,7 @@ type cell = {
 
 type row = { workload : Ba_workloads.Spec.t; cells : cell list }
 
-let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps ?(k = 4) (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -29,27 +29,28 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     List.map
       (fun model ->
         let layout algo = Align.align_program algo ~arch:model profile in
-        let base = layout (Align.Tryn tryn) in
+        let base = layout (Align.Tryn 15) in
+        let spec = Ba_delta.Eval.spec_of_model model in
         (* Candidates are priced by the incremental evaluator — exactly
            the integer [Bep.bep] a full replay reports, which the
            differential wall enforces — so the search costs O(affected
            sites) per candidate instead of a full trace replay. *)
         let ev =
           Ba_delta.Eval.create
-            ~specs:[| Ba_delta.Eval.spec_of_model model |]
+            ~specs:[| spec |]
             profile trace base
         in
         let bep decisions = Ba_delta.Eval.cost_arch ev 0 decisions in
         let bounds decisions =
           let image = Ba_layout.Image.build ~profile program decisions in
-          let arch = Ba_bound.Analyze.arch_of_model model ~profile image in
+          let arch = Ba_delta.Eval.to_arch spec ~image ~profile in
           let i = Ba_bound.Analyze.bounds ~arch ~profile image in
           (i.Ba_bound.Domain.lo, i.Ba_bound.Domain.hi)
         in
         let greedy = bep (layout Align.Greedy) in
         let cost = bep (layout Align.Cost) in
         let exttsp = bep (layout Align.ExtTsp) in
-        let tryn_bep = bep base in
+        let try15 = bep base in
         let anneal = bep (Ba_delta.Anneal.align_program ~arch:model profile) in
         (* Optimal-k explores reorderings of the strongest algorithm's
            layout, so its winner prices what bounded search leaves on the
@@ -60,7 +61,7 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
           greedy;
           cost;
           exttsp;
-          tryn = tryn_bep;
+          try15;
           anneal;
           optimal = r.Optimal.best_cost;
           opt_lower = r.Optimal.best_lower;
@@ -72,9 +73,9 @@ let evaluate ?max_steps ?(k = 4) ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   in
   { workload; cells }
 
-let evaluate_suite ?max_steps ?k ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?k ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?k ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps ?k) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in
@@ -108,14 +109,14 @@ let render rows =
               string_of_int c.greedy;
               string_of_int c.cost;
               string_of_int c.exttsp;
-              string_of_int c.tryn;
+              string_of_int c.try15;
               string_of_int c.anneal;
               string_of_int c.optimal;
               string_of_int c.opt_lower;
               string_of_int (c.greedy - c.optimal);
               string_of_int (c.cost - c.optimal);
               string_of_int (c.exttsp - c.optimal);
-              string_of_int (c.tryn - c.optimal);
+              string_of_int (c.try15 - c.optimal);
               string_of_int (c.anneal - c.optimal);
               Printf.sprintf "%d/%d" c.simulated c.candidates;
             ])
@@ -142,14 +143,14 @@ let to_json rows =
                        ("greedy", Int c.greedy);
                        ("cost", Int c.cost);
                        ("exttsp", Int c.exttsp);
-                       ("try15", Int c.tryn);
+                       ("try15", Int c.try15);
                        ("anneal", Int c.anneal);
                        ("optimal", Int c.optimal);
                        ("optimal_lower", Int c.opt_lower);
                        ("gap_greedy", Int (c.greedy - c.optimal));
                        ("gap_cost", Int (c.cost - c.optimal));
                        ("gap_exttsp", Int (c.exttsp - c.optimal));
-                       ("gap_try15", Int (c.tryn - c.optimal));
+                       ("gap_try15", Int (c.try15 - c.optimal));
                        ("gap_anneal", Int (c.anneal - c.optimal));
                        ("candidates", Int c.candidates);
                        ("simulated", Int c.simulated);

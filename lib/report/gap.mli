@@ -20,7 +20,7 @@ type cell = {
   greedy : int;  (** penalty cycles, Greedy layout *)
   cost : int;
   exttsp : int;  (** penalty cycles, extended-TSP chain-merging layout *)
-  tryn : int;
+  try15 : int;  (** penalty cycles, Try15 layout: Optimal-k's starting point *)
   anneal : int;  (** penalty cycles, simulated-annealing layout (seed 0) *)
   optimal : int;  (** Optimal-k best exactly-priced cost *)
   opt_lower : int;  (** that winner's own static lower bound *)
@@ -31,13 +31,12 @@ type cell = {
 
 type row = { workload : Ba_workloads.Spec.t; cells : cell list }
 
-val evaluate : ?max_steps:int -> ?k:int -> ?tryn:int -> Ba_workloads.Spec.t -> row
+val evaluate : ?max_steps:int -> ?k:int -> Ba_workloads.Spec.t -> row
 (** One row per {!Ba_core.Cost_model.all_arches} model, in that order. *)
 
 val evaluate_suite :
   ?max_steps:int ->
   ?k:int ->
-  ?tryn:int ->
   ?jobs:int ->
   Ba_workloads.Spec.t list ->
   row list

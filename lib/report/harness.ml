@@ -53,30 +53,45 @@ let cpi outcome ~orig_insns arch_index =
   let _, sim = outcome.Runner.sims.(arch_index) in
   Bep.relative_cpi sim ~insns:outcome.Runner.result.Ba_exec.Engine.insns ~orig_insns
 
-let full_archs =
+(* Each architectural cost model with the simulated architectures it is
+   judged on; concatenated, the lists are [full_archs] in column order. *)
+let model_archs =
   [
-    `Arch Bep.Static_fallthrough;
-    `Arch Bep.Static_btfnt;
-    `Likely;
-    `Arch pht_direct_arch;
-    `Arch gshare_arch;
-    `Arch btb64_arch;
-    `Arch btb256_arch;
+    (Cost_model.Fallthrough, [ `Arch Bep.Static_fallthrough ]);
+    (Cost_model.Btfnt, [ `Arch Bep.Static_btfnt ]);
+    (Cost_model.Likely, [ `Likely ]);
+    (Cost_model.Pht, [ `Arch pht_direct_arch; `Arch gshare_arch ]);
+    (Cost_model.Btb, [ `Arch btb64_arch; `Arch btb256_arch ]);
   ]
 
-let cpis_of_full outcome ~orig_insns =
-  let c i = cpi outcome ~orig_insns i in
-  {
-    fallthrough = c 0;
-    btfnt = c 1;
-    likely = c 2;
-    pht_direct = c 3;
-    gshare = c 4;
-    btb64 = c 5;
-    btb256 = c 6;
-  }
+let full_archs = List.concat_map snd model_archs
 
-let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let cpis_of_list = function
+  | [ fallthrough; btfnt; likely; pht_direct; gshare; btb64; btb256 ] ->
+    { fallthrough; btfnt; likely; pht_direct; gshare; btb64; btb256 }
+  | _ -> invalid_arg "Harness.cpis_of_list: one figure per architecture"
+
+let cpis_of_outcomes outcomes ~orig_insns =
+  cpis_of_list
+    (List.concat_map
+       (fun out -> List.init (Array.length out.Runner.sims) (cpi out ~orig_insns))
+       outcomes)
+
+(* One image per architectural cost model, each run against that model's
+   architectures: the per-model figures, plus each model's image and
+   outcome for the trace statistics and Figure 4. *)
+let per_model ~run_image ~orig_insns image_of =
+  let runs =
+    List.map
+      (fun (model, archs) ->
+        let image = image_of model in
+        (model, (image, run_image ~archs image)))
+      model_archs
+  in
+  ( cpis_of_outcomes (List.map (fun (_, (_, out)) -> out) runs) ~orig_insns,
+    fun model -> List.assoc model runs )
+
+let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with Some s -> s | None -> Ba_workloads.Spec.default_max_steps
   in
@@ -88,6 +103,7 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   let orig_image = Ba_layout.Image.original ~profile program in
   let orig_out = run_image ~archs:full_archs orig_image in
   let orig_insns = orig_out.Runner.result.Ba_exec.Engine.insns in
+  let cpis_of_full out = cpis_of_outcomes [ out ] ~orig_insns in
   let greedy_image = Align.image Align.Greedy profile in
   let greedy_out = run_image ~archs:full_archs greedy_image in
   (* As in §6.1, layouts evaluated on BT/FNT use the Pettis & Hansen
@@ -102,63 +118,22 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
      simulated architectures. *)
   let exttsp_image = Align.image Align.ExtTsp profile in
   let exttsp_out = run_image ~archs:full_archs exttsp_image in
-  (* One Try15 alignment per architectural cost model. *)
-  let try15_image ?strategy arch = Align.image (Align.Tryn tryn) ?strategy ~arch profile in
-  let t15_ft_img = try15_image Cost_model.Fallthrough in
-  let t15_btfnt_img =
-    (* Two refinement rounds: the second pass knows the first layout's real
-       branch directions, which only BT/FNT cares about. *)
-    Align.image (Align.Tryn tryn) ~strategy:Ba_layout.Chain_order.Btfnt_precedence
-      ~arch:Cost_model.Btfnt ~refine_rounds:2 profile
+  let try15, try15_run =
+    per_model ~run_image ~orig_insns (function
+      | Cost_model.Btfnt ->
+        (* Two refinement rounds: the second pass knows the first layout's
+           real branch directions, which only BT/FNT cares about. *)
+        Align.image (Align.Tryn 15) ~strategy:Ba_layout.Chain_order.Btfnt_precedence
+          ~arch:Cost_model.Btfnt ~refine_rounds:2 profile
+      | arch -> Align.image (Align.Tryn 15) ~arch profile)
   in
-  let t15_likely_img = try15_image Cost_model.Likely in
-  let t15_pht_img = try15_image Cost_model.Pht in
-  let t15_btb_img = try15_image Cost_model.Btb in
-  let t15_ft = run_image ~archs:[ `Arch Bep.Static_fallthrough ] t15_ft_img in
-  let t15_btfnt = run_image ~archs:[ `Arch Bep.Static_btfnt ] t15_btfnt_img in
-  let t15_likely = run_image ~archs:[ `Likely ] t15_likely_img in
-  let t15_pht =
-    run_image ~archs:[ `Arch pht_direct_arch; `Arch gshare_arch ] t15_pht_img
+  (* Seed 0 and a fixed schedule: the Anneal column is byte-identical
+     across runs and at any [-j]. *)
+  let anneal, _ =
+    per_model ~run_image ~orig_insns (fun arch -> Ba_delta.Anneal.image ~arch profile)
   in
-  let t15_btb =
-    run_image ~archs:[ `Arch btb64_arch; `Arch btb256_arch ] t15_btb_img
-  in
-  let try15 =
-    {
-      fallthrough = cpi t15_ft ~orig_insns 0;
-      btfnt = cpi t15_btfnt ~orig_insns 0;
-      likely = cpi t15_likely ~orig_insns 0;
-      pht_direct = cpi t15_pht ~orig_insns 0;
-      gshare = cpi t15_pht ~orig_insns 1;
-      btb64 = cpi t15_btb ~orig_insns 0;
-      btb256 = cpi t15_btb ~orig_insns 1;
-    }
-  in
-  (* One annealed alignment per architectural cost model, mirroring the
-     Try15 structure.  Seed 0 and a fixed schedule: the column is
-     byte-identical across runs and at any [-j]. *)
-  let anneal_image arch = Ba_delta.Anneal.image ~arch profile in
-  let an_ft = run_image ~archs:[ `Arch Bep.Static_fallthrough ] (anneal_image Cost_model.Fallthrough) in
-  let an_btfnt = run_image ~archs:[ `Arch Bep.Static_btfnt ] (anneal_image Cost_model.Btfnt) in
-  let an_likely = run_image ~archs:[ `Likely ] (anneal_image Cost_model.Likely) in
-  let an_pht =
-    run_image ~archs:[ `Arch pht_direct_arch; `Arch gshare_arch ]
-      (anneal_image Cost_model.Pht)
-  in
-  let an_btb =
-    run_image ~archs:[ `Arch btb64_arch; `Arch btb256_arch ]
-      (anneal_image Cost_model.Btb)
-  in
-  let anneal =
-    {
-      fallthrough = cpi an_ft ~orig_insns 0;
-      btfnt = cpi an_btfnt ~orig_insns 0;
-      likely = cpi an_likely ~orig_insns 0;
-      pht_direct = cpi an_pht ~orig_insns 0;
-      gshare = cpi an_pht ~orig_insns 1;
-      btb64 = cpi an_btb ~orig_insns 0;
-      btb256 = cpi an_btb ~orig_insns 1;
-    }
+  let pct_ft model =
+    Ba_exec.Trace_stats.pct_cond_fallthrough (snd (try15_run model)).Runner.stats
   in
   let alpha =
     if List.mem workload.Ba_workloads.Spec.name Ba_workloads.Spec.spec_c_programs then begin
@@ -175,7 +150,7 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
       in
       let orig_cycles = run_alpha orig_image in
       let greedy_cycles = run_alpha greedy_image in
-      let try15_cycles = run_alpha t15_btb_img in
+      let try15_cycles = run_alpha (fst (try15_run Cost_model.Btb)) in
       Some (1.0, greedy_cycles /. orig_cycles, try15_cycles /. orig_cycles)
     end
     else None
@@ -185,30 +160,29 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     orig_insns;
     stats =
       Ba_exec.Trace_stats.summarize orig_out.Runner.stats ~program ~insns:orig_insns;
-    orig = cpis_of_full orig_out ~orig_insns;
+    orig = cpis_of_full orig_out;
     greedy =
-      { (cpis_of_full greedy_out ~orig_insns) with
-        btfnt = cpi greedy_btfnt_out ~orig_insns 0 };
-    exttsp = cpis_of_full exttsp_out ~orig_insns;
+      { (cpis_of_full greedy_out) with btfnt = cpi greedy_btfnt_out ~orig_insns 0 };
+    exttsp = cpis_of_full exttsp_out;
     try15;
     anneal;
     pct_ft_orig = Ba_exec.Trace_stats.pct_cond_fallthrough orig_out.Runner.stats;
     pct_ft_greedy = Ba_exec.Trace_stats.pct_cond_fallthrough greedy_out.Runner.stats;
-    pct_ft_try15_ft = Ba_exec.Trace_stats.pct_cond_fallthrough t15_ft.Runner.stats;
-    pct_ft_try15_btfnt = Ba_exec.Trace_stats.pct_cond_fallthrough t15_btfnt.Runner.stats;
-    pct_ft_try15_likely = Ba_exec.Trace_stats.pct_cond_fallthrough t15_likely.Runner.stats;
+    pct_ft_try15_ft = pct_ft Cost_model.Fallthrough;
+    pct_ft_try15_btfnt = pct_ft Cost_model.Btfnt;
+    pct_ft_try15_likely = pct_ft Cost_model.Likely;
     alpha;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps) workloads)
 
-let evaluate_suite_timed ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite_timed ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
       Ba_par.Pool.timed_map pool ~label:"evaluate_suite"
         ~task_label:(fun (w : Ba_workloads.Spec.t) -> w.Ba_workloads.Spec.name)
-        (evaluate ?max_steps ?tryn) workloads)
+        (evaluate ?max_steps) workloads)
 
 let class_groups evals =
   let group cls =

@@ -7,8 +7,10 @@
       architectures (three static, two PHTs, two BTBs) and the trace
       statistics;
     + align with Greedy (architecture-oblivious) and re-execute likewise;
-    + align with Try15 once per architectural cost model (FALLTHROUGH,
-      BT/FNT, LIKELY, PHT, BTB) and execute each against its architectures;
+    + align with ExtTsp (architecture-oblivious) likewise;
+    + align with Try15, and again with the annealing search, once per
+      architectural cost model (FALLTHROUGH, BT/FNT, LIKELY, PHT, BTB) and
+      execute each image against that model's architectures;
     + for Figure 4, run the Alpha 21064 timing model over the original,
       Greedy and BTB-aligned Try15 images.
 
@@ -70,15 +72,15 @@ val run_image :
     ({!Ba_predict.Likely_bits.build}): profile-guided hints follow the
     rewritten binary. *)
 
-val evaluate : ?max_steps:int -> ?tryn:int -> Ba_workloads.Spec.t -> eval
-(** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}; [tryn]
-    to 15.  The workload's profile {e and} semantic trace come from the
+val evaluate : ?max_steps:int -> Ba_workloads.Spec.t -> eval
+(** [max_steps] defaults to {!Ba_workloads.Spec.default_max_steps}.  The
+    workload's profile {e and} semantic trace come from the
     process-wide {!Ba_workloads.Profiled} memo, so the interpreter runs
     only once per workload per budget; every image (original included) is
     then scored by replaying the trace ({!run_image}). *)
 
 val evaluate_suite :
-  ?max_steps:int -> ?tryn:int -> ?jobs:int -> Ba_workloads.Spec.t list -> eval list
+  ?max_steps:int -> ?jobs:int -> Ba_workloads.Spec.t list -> eval list
 (** Evaluate the workloads on a {!Ba_par.Pool} of [jobs] domains (default
     {!Ba_par.Pool.default_jobs}, i.e. the [BA_JOBS] environment variable or
     the machine's domain count; [jobs = 1] forces the sequential path).
@@ -87,7 +89,6 @@ val evaluate_suite :
 
 val evaluate_suite_timed :
   ?max_steps:int ->
-  ?tryn:int ->
   ?jobs:int ->
   Ba_workloads.Spec.t list ->
   eval list * Ba_par.Stats.t

@@ -24,7 +24,7 @@ let penalties ~max_steps ~profile ~trace image =
   in
   Array.map (fun (_, sim) -> Bep.bep sim) outcome.Runner.sims
 
-let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
+let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
   let max_steps =
     match max_steps with
     | Some s -> s
@@ -36,7 +36,7 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
   (* The canonical BTB-aligned Try15 layout — the configuration the paper
      carries into its hardware evaluation — is the placement baseline. *)
   let decisions =
-    Align.align_program (Align.Tryn tryn) ~arch:Cost_model.Btb profile
+    Align.align_program (Align.Tryn 15) ~arch:Cost_model.Btb profile
   in
   let base_image = Ba_layout.Image.build ~profile program decisions in
   let place =
@@ -58,9 +58,9 @@ let evaluate ?max_steps ?(tryn = 15) (workload : Ba_workloads.Spec.t) =
     pad_slots = Array.fold_left ( + ) 0 place.Ba_conflict.Place.pads;
   }
 
-let evaluate_suite ?max_steps ?tryn ?jobs workloads =
+let evaluate_suite ?max_steps ?jobs workloads =
   Ba_par.Pool.with_pool ?jobs (fun pool ->
-      Ba_par.Pool.map pool (evaluate ?max_steps ?tryn) workloads)
+      Ba_par.Pool.map pool (evaluate ?max_steps) workloads)
 
 let render rows =
   let open Ba_util.Ascii_table in

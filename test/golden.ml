@@ -272,8 +272,7 @@ let bound_report () =
   let program, profile = Ba_workloads.Profiled.get ~max_steps spec in
   let analyze image =
     Ba_bound.Analyze.analyze
-      ~arch:
-        (Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image)
+      ~arch:Ba_delta.Eval.(to_arch (spec_of_model Ba_core.Cost_model.Btfnt) ~image ~profile)
       ~profile image
   in
   let detail (a : Ba_bound.Analyze.t) =

@@ -221,7 +221,7 @@ let test_gap_invariants () =
           Alcotest.(check bool)
             (label "gap(try15) >= 0")
             true
-            (c.Ba_report.Gap.optimal <= c.Ba_report.Gap.tryn);
+            (c.Ba_report.Gap.optimal <= c.Ba_report.Gap.try15);
           Alcotest.(check int)
             (label "candidates = simulated + pruned")
             c.Ba_report.Gap.candidates
@@ -241,7 +241,7 @@ let test_optimal_direct () =
   let bep decisions =
     let image = Ba_layout.Image.build ~profile program decisions in
     let arch =
-      Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image
+      Ba_delta.Eval.(to_arch (spec_of_model Ba_core.Cost_model.Btfnt) ~image ~profile)
     in
     let out = Runner.simulate ~max_steps:wall_steps ~trace ~archs:[ arch ] image in
     Bep.bep (snd out.Runner.sims.(0))
@@ -249,7 +249,7 @@ let test_optimal_direct () =
   let bounds decisions =
     let image = Ba_layout.Image.build ~profile program decisions in
     let arch =
-      Ba_bound.Analyze.arch_of_model Ba_core.Cost_model.Btfnt ~profile image
+      Ba_delta.Eval.(to_arch (spec_of_model Ba_core.Cost_model.Btfnt) ~image ~profile)
     in
     let iv = Ba_bound.Analyze.bounds ~arch ~profile image in
     (iv.Ba_bound.Domain.lo, iv.Ba_bound.Domain.hi)

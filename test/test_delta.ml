@@ -10,7 +10,7 @@
    fresh lowering, move+inverse restoring the total bit-for-bit, disjoint
    moves composing additively, and deltas agreeing with the certified
    totals of two fully-certified layouts.  The Try15 equality gate pins
-   that [Align]'s [?delta] switch changes nothing but speed.  Placement's
+   that [Tryn]'s cached leaf pricing changes nothing but speed.  Placement's
    swap guard and the gap table price through [Model] and [Eval] alone,
    so the wall and the algebra suite are what hold them to the fresh
    lowering and the full replay. *)
@@ -370,7 +370,8 @@ let test_delta_vs_certificates () =
     (sample 8 (moves_of proc model))
 
 (* ------------------------------------------------------------------ *)
-(* Equality gate: Align's ?delta switch changes the speed, not the result. *)
+(* Equality gate: Try15's cached leaf pricing changes the speed, not the
+   result — its chains match a search that prices every leaf in full. *)
 
 let check_same_decisions what (a : Ba_layout.Decision.t array)
     (b : Ba_layout.Decision.t array) =
@@ -395,16 +396,16 @@ let test_tryn_delta_gate () =
   List.iter
     (fun name ->
       let w = Matrix.workload name in
-      let _, profile = Ba_workloads.Profiled.get ~max_steps:wall_steps w in
-      let fast =
-        Ba_core.Align.align_program (Ba_core.Align.Tryn 15) ~delta:true
-          ~arch:Ba_core.Cost_model.Btfnt profile
+      let program, profile = Ba_workloads.Profiled.get ~max_steps:wall_steps w in
+      let chains build =
+        Array.init (Ba_ir.Program.n_procs program) (fun pid ->
+            let ctx = Ba_core.Ctx.of_profile profile pid in
+            Ba_core.Ctx.to_decision ctx (build ~arch:Ba_core.Cost_model.Btfnt ctx))
       in
-      let slow =
-        Ba_core.Align.align_program (Ba_core.Align.Tryn 15) ~delta:false
-          ~arch:Ba_core.Cost_model.Btfnt profile
-      in
-      check_same_decisions (name ^ "/try15") fast slow)
+      check_same_decisions (name ^ "/try15")
+        (chains (fun ~arch ctx -> Ba_core.Tryn.build_chains ~arch ctx))
+        (chains (fun ~arch ctx ->
+             Ba_core.Tryn.For_testing.build_chains_full_leaf ~arch ctx)))
     [ "espresso"; "li"; "wave5" ]
 
 (* ------------------------------------------------------------------ *)
