@@ -161,7 +161,7 @@ let noncond_counts t geom =
 (* Return mispredicts.  The replayer pushes the call's fall-through pc and
    resumes exactly there, so while the semantic call depth never exceeds
    the stack depth, every non-underflow pop is correct and every underflow
-   pops [None]: the count is just [n_underflow].  Deeper runs can wrap the
+   pops -1: the count is just [n_underflow].  Deeper runs can wrap the
    circular stack, so the call/return substream is replayed against a real
    {!Return_stack.t} under the candidate geometry. *)
 let ret_mp_count t geom =
@@ -189,9 +189,7 @@ let ret_mp_count t geom =
               if jpc >= 0 then jpc else fl.Flat.addr.(fl.Flat.c.(gf))
             end
           in
-          match Return_stack.pop ras with
-          | Some a when a = target -> ()
-          | Some _ | None -> incr mp
+          if Return_stack.pop ras <> target then incr mp
         end)
       st.Stream.recs;
     !mp
@@ -233,8 +231,8 @@ let rule_cond_counts t geom spec =
   done;
   (!mf, !mp)
 
-(* Full conditional-substream replay against a real predictor. *)
-let replay_cond t geom ~predict ~update =
+(* Full conditional-substream replay against a real predictor's [step]. *)
+let replay_cond t geom ~step =
   let fl = geom.flat in
   let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
   let pen = ref 0 in
@@ -244,8 +242,7 @@ let replay_cond t geom ~predict ~update =
       let outcome = cr land 1 = 1 in
       let taken = outcome = (fl.Flat.b.(geom.to_g.(s)) = 1) in
       let pc = geom.bpc.(s) in
-      let predicted = predict ~pc in
-      update ~pc ~taken;
+      let predicted = step ~pc ~taken in
       if predicted = taken then begin
         if taken then pen := !pen + mfp
       end
@@ -256,17 +253,13 @@ let replay_cond t geom ~predict ~update =
 let full_cond_penalty t geom spec =
   match spec with
   | Pht_direct { entries } ->
-    let p = Pht.create_direct ~entries in
-    replay_cond t geom ~predict:(Pht.predict p) ~update:(Pht.update p)
+    replay_cond t geom ~step:(Pht.step (Pht.create_direct ~entries))
   | Pht_gshare { entries; history_bits } ->
-    let p = Pht.create_gshare ~entries ~history_bits in
-    replay_cond t geom ~predict:(Pht.predict p) ~update:(Pht.update p)
+    replay_cond t geom ~step:(Pht.step (Pht.create_gshare ~entries ~history_bits))
   | Pht_global { history_bits } ->
-    let p = Two_level.create_global ~history_bits () in
-    replay_cond t geom ~predict:(Two_level.predict p) ~update:(Two_level.update p)
+    replay_cond t geom ~step:(Two_level.step (Two_level.create_global ~history_bits ()))
   | Pht_local { history_bits; branch_entries } ->
-    let p = Two_level.create_local ~history_bits ~branch_entries () in
-    replay_cond t geom ~predict:(Two_level.predict p) ~update:(Two_level.update p)
+    replay_cond t geom ~step:(Two_level.step (Two_level.create_local ~history_bits ~branch_entries ()))
   | Fallthrough | Btfnt | Likely | Btb _ -> assert false
 
 (* Executed conditional sites whose branch pc or sense differ from the
@@ -298,8 +291,8 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       in_e.(Pht.direct_index ~entries ~pc:t.base_geom.bpc.(s)) <- true;
       in_e.(Pht.direct_index ~entries ~pc:geom.bpc.(s)) <- true)
     changed;
-  let base_t = Array.make entries (Counter2.initial :> int) in
-  let cand_t = Array.make entries (Counter2.initial :> int) in
+  let base_t = Array.make entries Counter2.initial in
+  let cand_t = Array.make entries Counter2.initial in
   let bfl = t.base_geom.flat and fl = geom.flat in
   let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
   let base_pen = ref 0 and cand_pen = ref 0 in
@@ -310,9 +303,9 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       let bi = Pht.direct_index ~entries ~pc:t.base_geom.bpc.(s) in
       if in_e.(bi) then begin
         let taken = outcome = (bfl.Flat.b.(t.base_geom.to_g.(s)) = 1) in
-        let c = Counter2.of_int base_t.(bi) in
+        let c = base_t.(bi) in
         let predicted = Counter2.predict c in
-        base_t.(bi) <- (Counter2.update c ~taken :> int);
+        base_t.(bi) <- Counter2.update c ~taken;
         if predicted = taken then begin
           if taken then base_pen := !base_pen + mfp
         end
@@ -321,9 +314,9 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
       let ci = Pht.direct_index ~entries ~pc:geom.bpc.(s) in
       if in_e.(ci) then begin
         let taken = outcome = (fl.Flat.b.(geom.to_g.(s)) = 1) in
-        let c = Counter2.of_int cand_t.(ci) in
+        let c = cand_t.(ci) in
         let predicted = Counter2.predict c in
-        cand_t.(ci) <- (Counter2.update c ~taken :> int);
+        cand_t.(ci) <- Counter2.update c ~taken;
         if predicted = taken then begin
           if taken then cand_pen := !cand_pen + mfp
         end

@@ -1,30 +1,31 @@
-type line = {
-  mutable tag : int;  (* -1 = invalid *)
-  bits : bool array;  (* history bit per instruction slot *)
-  valid : bool array;  (* has this slot's bit been written since the fill? *)
-}
-
+(* Flat arrays: [tags] per stored line, and one history state per
+   instruction slot at line * insns_per_line + slot, so a prediction or an
+   update reads and writes ints in place and allocates nothing. *)
 type t = {
-  lines : line array;
+  tags : int array;  (* line number held by each stored line; -1 = invalid *)
+  bits : int array;
+      (* per slot: [cold] = not written since the line's fill, else the
+         last direction, [not_taken] or [taken] *)
   insns_per_line : int;
+  line_mask : int;
   (* local books, flushed to the predict.alpha.* counters once per run *)
   mutable s_cold : int;
   mutable s_refills : int;
 }
+
+let cold = 0
+let not_taken = 1
+let taken_bit = 2
 
 let create ?(lines = 256) ?(insns_per_line = 8) () =
   if lines <= 0 || lines land (lines - 1) <> 0 then
     invalid_arg "Alpha_bits.create: line count must be a power of two";
   if insns_per_line <= 0 then invalid_arg "Alpha_bits.create: bad line size";
   {
-    lines =
-      Array.init lines (fun _ ->
-          {
-            tag = -1;
-            bits = Array.make insns_per_line false;
-            valid = Array.make insns_per_line false;
-          });
+    tags = Array.make lines (-1);
+    bits = Array.make (lines * insns_per_line) cold;
     insns_per_line;
+    line_mask = lines - 1;
     s_cold = 0;
     s_refills = 0;
   }
@@ -36,34 +37,29 @@ let line_no_of ~insns_per_line ~pc = pc / insns_per_line
 let slot_of ~insns_per_line ~pc = pc mod insns_per_line
 let line_index ~lines ~line_no = line_no land (lines - 1)
 
-let locate t ~pc =
-  let line_no = line_no_of ~insns_per_line:t.insns_per_line ~pc in
-  let line = t.lines.(line_index ~lines:(Array.length t.lines) ~line_no) in
-  (line, line_no, slot_of ~insns_per_line:t.insns_per_line ~pc)
-
 let m_refill = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.refill"
 let m_cold = Ba_obs.Counter.make ~unit_:"events" "predict.alpha.cold"
 
-let refill line tag =
-  line.tag <- tag;
-  Array.fill line.valid 0 (Array.length line.valid) false
-
 let predict t ~pc ~taken_target =
-  let line, tag, slot = locate t ~pc in
-  if line.tag = tag && line.valid.(slot) then line.bits.(slot)
+  let line_no = line_no_of ~insns_per_line:t.insns_per_line ~pc in
+  let line = line_no land t.line_mask in
+  let b = t.bits.((line * t.insns_per_line) + slot_of ~insns_per_line:t.insns_per_line ~pc) in
+  if t.tags.(line) = line_no && b <> cold then b = taken_bit
   else begin
     t.s_cold <- t.s_cold + 1;
     taken_target <= pc (* static BT/FNT on a cold bit *)
   end
 
 let update t ~pc ~taken =
-  let line, tag, slot = locate t ~pc in
-  if line.tag <> tag then begin
+  let line_no = line_no_of ~insns_per_line:t.insns_per_line ~pc in
+  let line = line_no land t.line_mask in
+  let first = line * t.insns_per_line in
+  if t.tags.(line) <> line_no then begin
     t.s_refills <- t.s_refills + 1;
-    refill line tag
+    t.tags.(line) <- line_no;
+    Array.fill t.bits first t.insns_per_line cold
   end;
-  line.bits.(slot) <- taken;
-  line.valid.(slot) <- true
+  t.bits.(first + slot_of ~insns_per_line:t.insns_per_line ~pc) <- (if taken then taken_bit else not_taken)
 
 let flush_obs t =
   Ba_obs.Counter.add m_cold t.s_cold;

@@ -1,12 +1,12 @@
-type entry = {
-  mutable tag : int;  (* full pc; -1 = invalid *)
-  mutable target : int;
-  mutable counter : int;  (* Counter2 state *)
-  mutable stamp : int;  (* LRU clock *)
-}
-
+(* Four flat arrays indexed by slot = set * assoc + way, so a probe or a
+   training step reads and writes ints in place and allocates nothing. *)
 type t = {
-  sets : entry array array;  (* sets.(set).(way) *)
+  tags : int array;  (* full pc; -1 = invalid *)
+  targets : int array;
+  counters : Counter2.t array;
+  stamps : int array;  (* LRU clock; 0 = never used *)
+  assoc : int;
+  set_mask : int;
   mutable clock : int;
   (* local books, flushed to the predict.btb.* counters once per run *)
   mutable s_lookups : int;
@@ -17,8 +17,6 @@ type t = {
   mutable s_sat_hi : int;
   mutable s_sat_lo : int;
 }
-
-type lookup = Hit of { target : int; predict_taken : bool } | Miss
 
 let m_lookup = Ba_obs.Counter.make ~unit_:"events" "predict.btb.lookup"
 let m_hit = Ba_obs.Counter.make ~unit_:"events" "predict.btb.hit"
@@ -32,9 +30,13 @@ let create ~entries ~assoc =
   let n_sets = entries / assoc in
   if n_sets land (n_sets - 1) <> 0 then
     invalid_arg "Btb.create: set count must be a power of two";
-  let fresh_entry () = { tag = -1; target = 0; counter = 0; stamp = 0 } in
   {
-    sets = Array.init n_sets (fun _ -> Array.init assoc (fun _ -> fresh_entry ()));
+    tags = Array.make entries (-1);
+    targets = Array.make entries 0;
+    counters = Array.make entries Counter2.initial;
+    stamps = Array.make entries 0;
+    assoc;
+    set_mask = n_sets - 1;
     clock = 0;
     s_lookups = 0;
     s_hits = 0;
@@ -50,64 +52,59 @@ let create ~entries ~assoc =
 let set_index ~entries ~assoc ~pc = pc land ((entries / assoc) - 1)
 let tag_of ~pc = pc
 
-let set_of t ~pc =
-  let assoc = Array.length t.sets.(0) in
-  let entries = Array.length t.sets * assoc in
-  t.sets.(set_index ~entries ~assoc ~pc)
+(* First way of the set holding [tag], or -1.  Top level with every input
+   an argument, so the scan builds no closure. *)
+let rec scan tags tag i stop = if i = stop then -1 else if tags.(i) = tag then i else scan tags tag (i + 1) stop
 
-let find_way set ~pc =
-  let tag = tag_of ~pc in
-  let n = Array.length set in
-  let rec scan i =
-    if i = n then None
-    else if set.(i).tag = tag then Some set.(i)
-    else scan (i + 1)
-  in
-  scan 0
+let find t ~pc =
+  let base = (pc land t.set_mask) * t.assoc in
+  scan t.tags (tag_of ~pc) base (base + t.assoc)
 
-let lookup t ~pc =
+let probe t ~pc =
   t.s_lookups <- t.s_lookups + 1;
-  match find_way (set_of t ~pc) ~pc with
-  | Some e ->
-    t.s_hits <- t.s_hits + 1;
-    Hit { target = e.target; predict_taken = Counter2.predict (Counter2.of_int e.counter) }
-  | None ->
-    t.s_misses <- t.s_misses + 1;
-    Miss
+  let slot = find t ~pc in
+  if slot >= 0 then t.s_hits <- t.s_hits + 1 else t.s_misses <- t.s_misses + 1;
+  slot
 
-let touch t e =
+let target t slot = t.targets.(slot)
+let predicts_taken t slot = Counter2.predict t.counters.(slot)
+
+let touch t slot =
   t.clock <- t.clock + 1;
-  e.stamp <- t.clock
+  t.stamps.(slot) <- t.clock
 
-let update t ~pc ~taken ~target =
-  let set = set_of t ~pc in
-  match find_way set ~pc with
-  | Some e ->
-    if taken then begin if e.counter = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
-    else if e.counter = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
-    e.counter <- (Counter2.update (Counter2.of_int e.counter) ~taken :> int);
-    if taken then e.target <- target;
-    touch t e
-  | None ->
-    if taken then begin
-      (* Allocate, evicting the LRU way (invalid entries have stamp 0 and
-         lose ties, so they are filled first). *)
-      let victim = Array.fold_left (fun acc e -> if e.stamp < acc.stamp then e else acc) set.(0) set in
-      t.s_allocs <- t.s_allocs + 1;
-      if victim.tag >= 0 then t.s_evicts <- t.s_evicts + 1;
-      victim.tag <- tag_of ~pc;
-      victim.target <- target;
-      victim.counter <- (Counter2.strongly_taken :> int);
-      touch t victim
-    end
+let train t ~slot ~pc ~taken ~target =
+  if slot >= 0 then begin
+    let c = t.counters.(slot) in
+    if taken then begin if (c :> int) = 3 then t.s_sat_hi <- t.s_sat_hi + 1 end
+    else if (c :> int) = 0 then t.s_sat_lo <- t.s_sat_lo + 1;
+    t.counters.(slot) <- Counter2.update c ~taken;
+    if taken then t.targets.(slot) <- target;
+    touch t slot
+  end
+  else if taken then begin
+    (* Allocate, evicting the set's first least-recently-used way (invalid
+       ways have stamp 0 and lose ties, so they are filled first). *)
+    let base = (pc land t.set_mask) * t.assoc in
+    let victim = ref base in
+    for w = base + 1 to base + t.assoc - 1 do
+      if t.stamps.(w) < t.stamps.(!victim) then victim := w
+    done;
+    let v = !victim in
+    t.s_allocs <- t.s_allocs + 1;
+    if t.tags.(v) >= 0 then t.s_evicts <- t.s_evicts + 1;
+    t.tags.(v) <- tag_of ~pc;
+    t.targets.(v) <- target;
+    t.counters.(v) <- Counter2.strongly_taken;
+    touch t v
+  end
 
-let entries t = Array.length t.sets * Array.length t.sets.(0)
-let assoc t = Array.length t.sets.(0)
+let update t ~pc ~taken ~target = train t ~slot:(find t ~pc) ~pc ~taken ~target
 
-let occupancy t =
-  Array.fold_left
-    (fun acc set -> Array.fold_left (fun acc e -> if e.tag >= 0 then acc + 1 else acc) acc set)
-    0 t.sets
+let entries t = Array.length t.tags
+let assoc t = t.assoc
+
+let occupancy t = Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
 
 let flush_obs t =
   Ba_obs.Counter.add m_lookup t.s_lookups;

@@ -10,22 +10,30 @@
 
 type t
 
-type lookup =
-  | Hit of { target : int; predict_taken : bool }
-  | Miss
-
 val create : entries:int -> assoc:int -> t
 (** [entries] must be a positive multiple of [assoc], with a power-of-two
     set count. *)
 
-val lookup : t -> pc:int -> lookup
-(** Probe without updating replacement state. *)
+val probe : t -> pc:int -> int
+(** The slot holding the branch at [pc], or -1 on a miss.  Counts a lookup
+    but does not touch replacement state. *)
+
+val target : t -> int -> int
+(** Stored target of a slot {!probe} returned. *)
+
+val predicts_taken : t -> int -> bool
+(** Direction the slot's 2-bit counter predicts. *)
+
+val train : t -> slot:int -> pc:int -> taken:bool -> target:int -> unit
+(** Train after resolving the branch, given [slot = probe t ~pc] from
+    before any other update: hits update the counter (and the stored
+    target when taken); misses allocate an entry only when the branch was
+    taken, evicting the set's LRU entry.  Newly allocated entries start
+    strongly taken. *)
 
 val update : t -> pc:int -> taken:bool -> target:int -> unit
-(** Train after resolving the branch: hits update the counter (and the
-    stored target when taken); misses allocate an entry only when the branch
-    was taken, evicting the set's LRU entry.  Newly allocated entries start
-    strongly taken. *)
+(** {!train} without a prior {!probe}: finds the slot itself and counts no
+    lookup. *)
 
 val entries : t -> int
 val assoc : t -> int

@@ -1,7 +1,10 @@
-type set = { tags : int array; stamps : int array }
-
+(* Flat [tags]/[stamps] arrays indexed by set * assoc + way, probed by a
+   closure-free scan, so an access allocates nothing. *)
 type t = {
-  sets : set array;
+  tags : int array;  (* line number; -1 = invalid *)
+  stamps : int array;  (* LRU clock; 0 = never used *)
+  assoc : int;
+  set_mask : int;
   insns_per_line : int;
   mutable clock : int;
   mutable accesses : int;
@@ -19,7 +22,10 @@ let create ?(lines = 256) ?(insns_per_line = 8) ?(assoc = 1) () =
     invalid_arg "Icache.create: set count must be a power of two";
   if insns_per_line <= 0 then invalid_arg "Icache.create: bad line size";
   {
-    sets = Array.init n_sets (fun _ -> { tags = Array.make assoc (-1); stamps = Array.make assoc 0 });
+    tags = Array.make lines (-1);
+    stamps = Array.make lines 0;
+    assoc;
+    set_mask = n_sets - 1;
     insns_per_line;
     clock = 0;
     accesses = 0;
@@ -35,25 +41,24 @@ let m_miss = Ba_obs.Counter.make ~unit_:"lines" "predict.icache.miss"
 let line_of ~insns_per_line ~addr = addr / insns_per_line
 let set_index ~lines ~assoc ~line = line land ((lines / assoc) - 1)
 
+let rec scan tags line i stop = if i = stop then -1 else if tags.(i) = line then i else scan tags line (i + 1) stop
+
 let access_line t line_no =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let assoc = Array.length t.sets.(0).tags in
-  let lines = Array.length t.sets * assoc in
-  let set = t.sets.(set_index ~lines ~assoc ~line:line_no) in
-  let ways = Array.length set.tags in
-  let rec find i = if i = ways then None else if set.tags.(i) = line_no then Some i else find (i + 1) in
-  match find 0 with
-  | Some way -> set.stamps.(way) <- t.clock
-  | None ->
+  let base = (line_no land t.set_mask) * t.assoc in
+  let way = scan t.tags line_no base (base + t.assoc) in
+  if way >= 0 then t.stamps.(way) <- t.clock
+  else begin
     t.misses <- t.misses + 1;
     (* Evict the LRU way (invalid ways have stamp 0 and lose ties). *)
-    let victim = ref 0 in
-    for w = 1 to ways - 1 do
-      if set.stamps.(w) < set.stamps.(!victim) then victim := w
+    let victim = ref base in
+    for w = base + 1 to base + t.assoc - 1 do
+      if t.stamps.(w) < t.stamps.(!victim) then victim := w
     done;
-    set.tags.(!victim) <- line_no;
-    set.stamps.(!victim) <- t.clock
+    t.tags.(!victim) <- line_no;
+    t.stamps.(!victim) <- t.clock
+  end
 
 let touch_range t ~addr ~size =
   if size <= 0 then 0

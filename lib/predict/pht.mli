@@ -22,9 +22,13 @@ val predict : t -> pc:int -> bool
 (** Predicted direction for the conditional at [pc] (does not update any
     state). *)
 
+val step : t -> pc:int -> taken:bool -> bool
+(** One executed conditional: return the prediction {!predict} would have
+    made, then train as {!update} does, computing the index once. *)
+
 val update : t -> pc:int -> taken:bool -> unit
 (** Train the indexed counter and (gshare) shift the outcome into the global
-    history.  Call after {!predict} for each executed conditional. *)
+    history; {!step} without counting a lookup. *)
 
 val entries : t -> int
 

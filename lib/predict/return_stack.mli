@@ -3,13 +3,15 @@
 
     A fixed-depth circular stack: pushing beyond the depth silently
     overwrites the oldest entry; popping an empty stack predicts nothing
-    (a guaranteed misprediction). *)
+    (a guaranteed misprediction).  Pushed addresses must be non-negative. *)
 
 type t
 
 val create : depth:int -> t
 val push : t -> int -> unit
-val pop : t -> int option
+val pop : t -> int
+(** The predicted return address, or -1 when the stack is empty. *)
+
 val depth : t -> int
 val occupancy : t -> int
 

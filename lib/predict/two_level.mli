@@ -24,7 +24,15 @@ val create_local :
 (** Defaults: 12-bit local histories, 1024 branch-history entries. *)
 
 val predict : t -> pc:int -> bool
+
+val step : t -> pc:int -> taken:bool -> bool
+(** One executed conditional: return the prediction {!predict} would have
+    made, then train as {!update} does, computing the indices once. *)
+
 val update : t -> pc:int -> taken:bool -> unit
+(** Train the indexed counter and shift the outcome into the history
+    register; {!step} without counting a lookup. *)
+
 val name : t -> string
 
 val local_index : branch_entries:int -> pc:int -> int

@@ -36,11 +36,19 @@ type t = {
   bits : Alpha_bits.t;
   ras : Return_stack.t;
   icache : Icache.t;
-  issue : (int, int array) Hashtbl.t option;
+  issue : int array array option;
+      (* the prefix table made dense by block address; [||] where no block
+         starts *)
   mutable issue_cycles : int;
   mutable misfetches : int;
   mutable mispredicts : int;
 }
+
+let dense_issue prefix =
+  let size = Hashtbl.fold (fun addr _ acc -> Int.max acc (addr + 1)) prefix 0 in
+  let dense = Array.make size [||] in
+  Hashtbl.iter (fun addr c -> dense.(addr) <- c) prefix;
+  dense
 
 let create ?(config = default_config) ?issue () =
   {
@@ -49,7 +57,7 @@ let create ?(config = default_config) ?issue () =
     ras = Return_stack.create ~depth:config.return_stack_depth;
     icache =
       Icache.create ~lines:config.icache_lines ~insns_per_line:config.insns_per_line ();
-    issue;
+    issue = Option.map dense_issue issue;
     issue_cycles = 0;
     misfetches = 0;
     mispredicts = 0;
@@ -72,21 +80,20 @@ let on_event t (e : Event.t) =
   | Event.Indirect_call ->
     t.mispredicts <- t.mispredicts + 1;
     Return_stack.push t.ras (Event.fallthrough_addr e)
-  | Event.Ret -> (
-    match Return_stack.pop t.ras with
-    | Some addr when addr = e.target -> ()
-    | Some _ | None -> t.mispredicts <- t.mispredicts + 1)
+  | Event.Ret ->
+    (* an empty stack pops -1, which no target equals *)
+    if Return_stack.pop t.ras <> e.target then t.mispredicts <- t.mispredicts + 1
 
 let on_block t ~addr ~size =
   ignore (Icache.touch_range t.icache ~addr ~size);
   match t.issue with
   | None -> ()
-  | Some prefix -> (
+  | Some prefix ->
     (* Inserted jumps report a 1-instruction range starting mid-block; they
        are not in the prefix table and issue alone. *)
-    match Hashtbl.find_opt prefix addr with
-    | Some c -> t.issue_cycles <- t.issue_cycles + c.(min size (Array.length c - 1))
-    | None -> t.issue_cycles <- t.issue_cycles + size)
+    let c = if addr < Array.length prefix then prefix.(addr) else [||] in
+    let n = Array.length c in
+    t.issue_cycles <- t.issue_cycles + (if n = 0 then size else c.(Int.min size (n - 1)))
 
 let cycles t ~insns =
   (* With a concrete listing, base cycles come from the dual-issue pairing

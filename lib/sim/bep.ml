@@ -108,68 +108,52 @@ let create ?(penalties = default_penalties) ?(return_stack_depth = 32) arch =
 let misfetch t = t.c.misfetches <- t.c.misfetches + 1
 let mispredict t = t.c.mispredicts <- t.c.mispredicts + 1
 
+(* A direction predictor's verdict on a conditional: a correctly predicted
+   taken branch still misfetches. *)
+let score t ~predicted ~taken =
+  if predicted = taken then begin
+    t.c.cond_correct <- t.c.cond_correct + 1;
+    if taken then misfetch t
+  end
+  else mispredict t
+
+(* The per-event path: int comparisons only, and no option, variant or
+   tuple results from the predictors, so it allocates nothing. *)
 let on_cond t (e : Event.t) ~taken ~taken_target =
   t.c.cond <- t.c.cond + 1;
   if taken then t.c.cond_taken <- t.c.cond_taken + 1;
   match t.predictor with
-  | Rule rule ->
-    let predicted = Static_rule.predict_taken rule ~pc:e.pc ~taken_target in
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
-  | Table pht ->
-    let predicted = Pht.predict pht ~pc:e.pc in
-    Pht.update pht ~pc:e.pc ~taken;
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
-  | Adaptive two ->
-    let predicted = Two_level.predict two ~pc:e.pc in
-    Two_level.update two ~pc:e.pc ~taken;
-    if predicted = taken then begin
-      t.c.cond_correct <- t.c.cond_correct + 1;
-      if taken then misfetch t
-    end
-    else mispredict t
+  | Rule rule -> score t ~taken ~predicted:(Static_rule.predict_taken rule ~pc:e.pc ~taken_target)
+  | Table pht -> score t ~taken ~predicted:(Pht.step pht ~pc:e.pc ~taken)
+  | Adaptive two -> score t ~taken ~predicted:(Two_level.step two ~pc:e.pc ~taken)
   | Buffer btb ->
+    let slot = Btb.probe btb ~pc:e.pc in
     let correct =
-      match Btb.lookup btb ~pc:e.pc with
-      | Btb.Hit { target; predict_taken } ->
-        if predict_taken then taken && target = e.target else not taken
-      | Btb.Miss -> not taken
+      if slot >= 0 && Btb.predicts_taken btb slot then taken && Btb.target btb slot = e.target
+      else not taken
     in
-    Btb.update btb ~pc:e.pc ~taken ~target:e.target;
-    if correct then t.c.cond_correct <- t.c.cond_correct + 1
-    else mispredict t
+    Btb.train btb ~slot ~pc:e.pc ~taken ~target:e.target;
+    if correct then t.c.cond_correct <- t.c.cond_correct + 1 else mispredict t
 
+(* Unconditional direct transfers: target known at decode, so the cost is a
+   misfetch for the static and PHT architectures; a BTB hit removes even
+   that.  Indirect transfers always mispredict without a BTB; with one, a
+   miss or a stale target does. *)
 let on_always_taken t (e : Event.t) =
-  (* Unconditional direct transfers: target known at decode, so the cost is
-     a misfetch for the static and PHT architectures; a BTB hit removes even
-     that. *)
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> misfetch t
-  | Buffer btb -> (
-    match Btb.lookup btb ~pc:e.pc with
-    | Btb.Hit _ -> Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
-    | Btb.Miss ->
-      misfetch t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target)
+  | Buffer btb ->
+    let slot = Btb.probe btb ~pc:e.pc in
+    if slot < 0 then misfetch t;
+    Btb.train btb ~slot ~pc:e.pc ~taken:true ~target:e.target
 
 let on_indirect t (e : Event.t) =
   match t.predictor with
   | Rule _ | Table _ | Adaptive _ -> mispredict t
-  | Buffer btb -> (
-    match Btb.lookup btb ~pc:e.pc with
-    | Btb.Hit { target; _ } ->
-      if target <> e.target then mispredict t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target
-    | Btb.Miss ->
-      mispredict t;
-      Btb.update btb ~pc:e.pc ~taken:true ~target:e.target)
+  | Buffer btb ->
+    let slot = Btb.probe btb ~pc:e.pc in
+    if slot < 0 || Btb.target btb slot <> e.target then mispredict t;
+    Btb.train btb ~slot ~pc:e.pc ~taken:true ~target:e.target
 
 let on_event t (e : Event.t) =
   match e.kind with
@@ -188,12 +172,11 @@ let on_event t (e : Event.t) =
     t.c.indirect <- t.c.indirect + 1;
     on_indirect t e;
     Return_stack.push t.ras (Event.fallthrough_addr e)
-  | Event.Ret -> (
+  | Event.Ret ->
     t.c.rets <- t.c.rets + 1;
-    match Return_stack.pop t.ras with
-    | Some addr when addr = e.target ->
-      t.c.rets_correct <- t.c.rets_correct + 1
-    | Some _ | None -> mispredict t)
+    (* an empty stack pops -1, which no target equals *)
+    if Return_stack.pop t.ras = e.target then t.c.rets_correct <- t.c.rets_correct + 1
+    else mispredict t
 
 let counts t = t.c
 

@@ -156,22 +156,17 @@ let test_two_level_validation () =
 
 let test_btb_miss_then_hit () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
-  (match Btb.lookup btb ~pc:100 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "cold BTB should miss");
+  Alcotest.(check int) "cold BTB misses" (-1) (Btb.probe btb ~pc:100);
   Btb.update btb ~pc:100 ~taken:true ~target:200;
-  match Btb.lookup btb ~pc:100 with
-  | Btb.Hit { target; predict_taken } ->
-    Alcotest.(check int) "stored target" 200 target;
-    Alcotest.(check bool) "allocated strongly taken" true predict_taken
-  | Btb.Miss -> Alcotest.fail "should hit after taken update"
+  let slot = Btb.probe btb ~pc:100 in
+  Alcotest.(check bool) "hits after taken update" true (slot >= 0);
+  Alcotest.(check int) "stored target" 200 (Btb.target btb slot);
+  Alcotest.(check bool) "allocated strongly taken" true (Btb.predicts_taken btb slot)
 
 let test_btb_not_taken_never_allocates () =
   let btb = Btb.create ~entries:64 ~assoc:2 in
   Btb.update btb ~pc:100 ~taken:false ~target:200;
-  (match Btb.lookup btb ~pc:100 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "not-taken branches must not be stored");
+  Alcotest.(check int) "not-taken branches are not stored" (-1) (Btb.probe btb ~pc:100);
   Alcotest.(check int) "empty" 0 (Btb.occupancy btb)
 
 let test_btb_counter_training () =
@@ -180,10 +175,9 @@ let test_btb_counter_training () =
   (* Two not-taken updates drive the 2-bit counter below the threshold. *)
   Btb.update btb ~pc:100 ~taken:false ~target:200;
   Btb.update btb ~pc:100 ~taken:false ~target:200;
-  match Btb.lookup btb ~pc:100 with
-  | Btb.Hit { predict_taken; _ } ->
-    Alcotest.(check bool) "counter trained down" false predict_taken
-  | Btb.Miss -> Alcotest.fail "entry should survive"
+  let slot = Btb.probe btb ~pc:100 in
+  Alcotest.(check bool) "entry survives" true (slot >= 0);
+  Alcotest.(check bool) "counter trained down" false (Btb.predicts_taken btb slot)
 
 let test_btb_lru_eviction () =
   (* 2-way set: three distinct taken branches mapping to the same set evict
@@ -196,20 +190,16 @@ let test_btb_lru_eviction () =
   (* refresh 4 *)
   Btb.update btb ~pc:12 ~taken:true ~target:3;
   (* evicts 8 *)
-  (match Btb.lookup btb ~pc:8 with
-  | Btb.Miss -> ()
-  | Btb.Hit _ -> Alcotest.fail "LRU entry should be evicted");
-  match Btb.lookup btb ~pc:4 with
-  | Btb.Hit _ -> ()
-  | Btb.Miss -> Alcotest.fail "recently used entry should survive"
+  Alcotest.(check int) "LRU entry evicted" (-1) (Btb.probe btb ~pc:8);
+  Alcotest.(check bool) "recently used entry survives" true (Btb.probe btb ~pc:4 >= 0)
 
 let test_btb_target_update () =
   let btb = Btb.create ~entries:8 ~assoc:2 in
   Btb.update btb ~pc:4 ~taken:true ~target:1;
   Btb.update btb ~pc:4 ~taken:true ~target:9;
-  match Btb.lookup btb ~pc:4 with
-  | Btb.Hit { target; _ } -> Alcotest.(check int) "latest target" 9 target
-  | Btb.Miss -> Alcotest.fail "should hit"
+  let slot = Btb.probe btb ~pc:4 in
+  Alcotest.(check bool) "hits" true (slot >= 0);
+  Alcotest.(check int) "latest target" 9 (Btb.target btb slot)
 
 let test_btb_bad_geometry () =
   Alcotest.(check bool) "entries % assoc" true
@@ -224,9 +214,9 @@ let test_ras_lifo () =
   let ras = Return_stack.create ~depth:4 in
   Return_stack.push ras 1;
   Return_stack.push ras 2;
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "empty" None (Return_stack.pop ras)
+  Alcotest.(check int) "pop 2" 2 (Return_stack.pop ras);
+  Alcotest.(check int) "pop 1" 1 (Return_stack.pop ras);
+  Alcotest.(check int) "empty" (-1) (Return_stack.pop ras)
 
 let test_ras_overflow_wraps () =
   let ras = Return_stack.create ~depth:2 in
@@ -234,9 +224,9 @@ let test_ras_overflow_wraps () =
   Return_stack.push ras 2;
   Return_stack.push ras 3;
   (* overwrites 1 *)
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Return_stack.pop ras);
-  Alcotest.(check (option int)) "oldest lost" None (Return_stack.pop ras)
+  Alcotest.(check int) "pop 3" 3 (Return_stack.pop ras);
+  Alcotest.(check int) "pop 2" 2 (Return_stack.pop ras);
+  Alcotest.(check int) "oldest lost" (-1) (Return_stack.pop ras)
 
 (* -- Alpha_bits ------------------------------------------------------------ *)
 
@@ -320,7 +310,9 @@ let test_icache_dense_beats_sparse () =
 
 (* -- Likely_bits ---------------------------------------------------------- *)
 
-let test_likely_bits () =
+(* A loop: block 0's conditional (taken 5 times, then falls out), block 1's
+   back jump, block 2's halt. *)
+let likely_fixture () =
   let open Ba_ir in
   let main =
     Proc.make ~name:"main"
@@ -332,7 +324,10 @@ let test_likely_bits () =
       |]
   in
   let prog = Program.make ~name:"likely" ~seed:1 [| main |] in
-  let profile = Ba_exec.Engine.profile_program prog in
+  (prog, Ba_exec.Engine.profile_program prog)
+
+let test_likely_bits () =
+  let prog, profile = likely_fixture () in
   let image = Ba_layout.Image.original prog in
   let bits = Likely_bits.build image profile in
   Alcotest.(check int) "one conditional" 1 (Likely_bits.count bits);
@@ -347,6 +342,25 @@ let test_likely_bits () =
   let bits2 = Likely_bits.build image2 profile in
   let pc2 = Ba_layout.Linear.branch_pc (Ba_layout.Image.lblock image2 0 0) in
   Alcotest.(check bool) "flipped hint taken" true (Likely_bits.hint bits2 pc2)
+
+let test_likely_bits_reject_other_pcs () =
+  let prog, profile = likely_fixture () in
+  let image = Ba_layout.Image.original prog in
+  let bits = Likely_bits.build image profile in
+  let rejects what pc =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (pc %d) raises Invalid_argument" what pc)
+      true
+      (match Likely_bits.hint bits pc with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "the back jump"
+    (Ba_layout.Linear.branch_pc (Ba_layout.Image.lblock image 0 1));
+  rejects "a straight-line instruction" (Ba_layout.Image.lblock image 0 0).Ba_layout.Linear.addr;
+  rejects "one past the end of the image" image.Ba_layout.Image.total_size;
+  rejects "far past the end of the image" (image.Ba_layout.Image.total_size + 100_000);
+  rejects "a negative address" (-1)
 
 let qcheck_cases =
   let open QCheck in
@@ -370,11 +384,119 @@ let qcheck_cases =
         Btb.occupancy btb <= 16);
   ]
 
+(* -- Conformance through Bep ------------------------------------------------
+   Branches placed at chosen addresses force a known predictor effect:
+   direct-mapped PHT aliasing, a gshare history collision, BTB set pressure
+   and return-stack overflow.  Each stream is driven through
+   [Bep.on_event], and the expected books are derived by hand in the
+   comments (2-bit counters start at 1, weakly not-taken; BTB entries are
+   allocated strongly taken; misfetch 1, mispredict 4). *)
+
+module Ev = Ba_exec.Event
+module Bep = Ba_sim.Bep
+
+let cond ~pc ~taken = { Ev.pc; target = (if taken then pc - 8 else pc + 1); kind = Ev.Cond { taken; taken_target = pc - 8 } }
+let jump ~pc = { Ev.pc; target = pc + 100; kind = Ev.Uncond }
+
+let books ?(misfetches = 0) ?(mispredicts = 0) ?(cond = 0) ?(cond_taken = 0) ?(cond_correct = 0)
+    ?(uncond = 0) ?(calls = 0) ?(rets = 0) ?(rets_correct = 0) () =
+  [ misfetches; mispredicts; cond; cond_taken; cond_correct; uncond; calls; 0; rets; rets_correct ]
+
+let books_of (c : Bep.counts) =
+  [ c.misfetches; c.mispredicts; c.cond; c.cond_taken; c.cond_correct; c.uncond; c.calls;
+    c.indirect; c.rets; c.rets_correct ]
+
+(* Drive [events] through a fresh simulator; its books and the counters its
+   flush leaves in a fresh registry. *)
+let drive arch events =
+  let r = Ba_obs.Registry.create () in
+  let sim = Bep.create arch in
+  Ba_obs.Registry.with_registry r (fun () ->
+      List.iter (Bep.on_event sim) events;
+      Bep.flush_obs sim);
+  (books_of (Bep.counts sim), Ba_obs.Registry.counter_value r)
+
+let pht4096 = Bep.Pht_direct { entries = 4096 }
+let check_books name expected actual = Alcotest.(check (list int)) name expected actual
+let repeat n l = List.concat (List.init n (fun _ -> l))
+
+let test_conformance_pht_aliasing () =
+  (* A (pc 0x100) is always taken, B always falls through.  At pc 0x101 B
+     has its own counter: A mispredicts once (1 -> 2) and then predicts
+     taken correctly, paying a misfetch (3); B's cold counter predicts
+     not-taken correctly every time.  At pc 0x100 + 4096 B shares A's
+     counter, which then ping-pongs 1 -> 2 -> 1: every one of the eight
+     predictions is wrong, and every update after the first finds the
+     entry owned by the other branch (7 alias transitions). *)
+  let stream b = repeat 4 [ cond ~pc:0x100 ~taken:true; cond ~pc:b ~taken:false ] in
+  let apart, apart_metric = drive pht4096 (stream 0x101) in
+  check_books "distinct entries" (books ~misfetches:3 ~mispredicts:1 ~cond:8 ~cond_taken:4 ~cond_correct:7 ()) apart;
+  Alcotest.(check int) "no aliasing" 0 (apart_metric "predict.pht.alias");
+  let aliased, aliased_metric = drive pht4096 (stream (0x100 + 4096)) in
+  check_books "pc and pc+4096 alias" (books ~mispredicts:8 ~cond:8 ~cond_taken:4 ()) aliased;
+  Alcotest.(check int) "alias transitions" 7 (aliased_metric "predict.pht.alias")
+
+let test_conformance_gshare_collision () =
+  (* One round: X (pc 32) taken, Y (pc 33) not taken, then eleven
+     not-taken R (pc 0x400) that shift X's 1 back out of the 12-bit
+     history.  gshare indexes (pc xor history) mod 4096: X reads entry
+     32 xor 0 = 32 and leaves history 1, so Y reads 33 xor 1 = 32 too, the
+     same counter.  Each round the counter goes 1 -> 2 (X mispredicted)
+     -> 1 (Y mispredicted): 2 mispredicts a round.  R reads 0x400 xor h
+     for h = 2, 4, ..., 2048, never entry 32, and predicts its fall-through
+     correctly from the cold counter on.  Three rounds: 39 conditionals, 6
+     mispredicts, 33 correct.  The direct-mapped table keeps X and Y
+     apart: X mispredicts once then misfetches twice; Y and R are always
+     right. *)
+  let round =
+    cond ~pc:32 ~taken:true :: cond ~pc:33 ~taken:false :: List.init 11 (fun _ -> cond ~pc:0x400 ~taken:false)
+  in
+  let stream = repeat 3 round in
+  let gshare, _ = drive (Bep.Pht_gshare { entries = 4096; history_bits = 12 }) stream in
+  check_books "gshare history collision" (books ~mispredicts:6 ~cond:39 ~cond_taken:3 ~cond_correct:33 ()) gshare;
+  let direct, _ = drive pht4096 stream in
+  check_books "direct-mapped keeps them apart"
+    (books ~misfetches:2 ~mispredicts:1 ~cond:39 ~cond_taken:3 ~cond_correct:38 ()) direct
+
+let test_conformance_btb_set_pressure () =
+  (* BTB-64/2 has 32 sets; jumps at 0x40, 0x60 and 0x80 all map to set 0,
+     three branches for two ways.  A hit is free; a miss misfetches and
+     allocates, evicting the least recently used way.
+       A miss (alloc)   B miss (alloc)   A hit
+       C miss, evicts B (A was refreshed)   A hit
+       B miss, evicts C   C miss, evicts A   A miss, evicts B
+     8 jumps: 2 hits, 6 misfetches, 6 allocations, 4 evictions.  BTB-256/4
+     has 64 sets, so 0x60 lands in set 32 and set 0 has four ways: only
+     the three cold misses remain. *)
+  let a = jump ~pc:0x40 and b = jump ~pc:0x60 and c = jump ~pc:0x80 in
+  let stream = [ a; b; a; c; a; b; c; a ] in
+  let small, metric = drive (Bep.Btb_arch { entries = 64; assoc = 2 }) stream in
+  check_books "BTB-64/2 thrashes set 0" (books ~misfetches:6 ~uncond:8 ()) small;
+  Alcotest.(check (list int)) "lookup/hit/alloc/evict" [ 8; 2; 6; 4 ]
+    (List.map metric [ "predict.btb.lookup"; "predict.btb.hit"; "predict.btb.alloc"; "predict.btb.evict" ]);
+  let large, _ = drive (Bep.Btb_arch { entries = 256; assoc = 4 }) stream in
+  check_books "BTB-256/4 holds all three" (books ~misfetches:3 ~uncond:8 ()) large
+
+let test_conformance_ras_overflow () =
+  (* 33 nested calls, then 33 returns.  The 32-entry stack's 33rd push
+     overwrites the oldest address (call 0's), so the first 32 pops are
+     right and the last pop finds the stack empty: 1 mispredict.  Under
+     FALLTHROUGH every direct call misfetches: 33. *)
+  let call i = { Ev.pc = 1000 + (10 * i); target = 5000 + i; kind = Ev.Call } in
+  let ret i = { Ev.pc = 9000 + i; target = 1000 + (10 * i) + 1; kind = Ev.Ret } in
+  let stream = List.init 33 call @ List.init 33 (fun k -> ret (32 - k)) in
+  let got, metric = drive Bep.Static_fallthrough stream in
+  check_books "33 deep on a 32-entry stack"
+    (books ~misfetches:33 ~mispredicts:1 ~calls:33 ~rets:33 ~rets_correct:32 ()) got;
+  Alcotest.(check (list int)) "overflow/underflow" [ 1; 1 ]
+    (List.map metric [ "predict.ras.overflow"; "predict.ras.underflow" ])
+
 (* -- Edge cases pinned through Ba_obs counters ------------------------------
    These scenarios re-drive the structures' corner branches (saturation
    rails, circular-stack wraparound, set-conflict eviction, index aliasing)
-   and assert the exact event counts the instrumentation records, so both
-   the predictor semantics and the metric names/semantics are pinned. *)
+   and assert the exact event counts the instrumentation records once the
+   structure's books are flushed, so both the predictor semantics and the
+   metric names/semantics are pinned. *)
 
 let counted f =
   let r = Ba_obs.Registry.create () in
@@ -384,15 +506,16 @@ let counted f =
 let test_obs_counter2_saturation_rails () =
   let read =
     counted (fun () ->
-        let c = ref Ba_predict.Counter2.initial in
+        let pht = Pht.create_direct ~entries:16 in
         (* initial = 1: two updates climb to 3, the next 8 saturate high *)
         for _ = 1 to 10 do
-          c := Ba_predict.Counter2.update !c ~taken:true
+          Pht.update pht ~pc:5 ~taken:true
         done;
         (* three updates descend to 0, the next 7 saturate low *)
         for _ = 1 to 10 do
-          c := Ba_predict.Counter2.update !c ~taken:false
-        done)
+          Pht.update pht ~pc:5 ~taken:false
+        done;
+        Pht.flush_obs pht)
   in
   Alcotest.(check int) "high rail" 8 (read "predict.counter2.sat_hi");
   Alcotest.(check int) "low rail" 7 (read "predict.counter2.sat_lo")
@@ -401,18 +524,18 @@ let test_obs_ras_overflow_underflow () =
   let popped = ref [] in
   let r = Ba_obs.Registry.create () in
   Ba_obs.Registry.with_registry r (fun () ->
-      let s = Ba_predict.Return_stack.create ~depth:2 in
-      Ba_predict.Return_stack.push s 10;
-      Ba_predict.Return_stack.push s 20;
-      Ba_predict.Return_stack.push s 30;
+      let s = Return_stack.create ~depth:2 in
+      Return_stack.push s 10;
+      Return_stack.push s 20;
+      Return_stack.push s 30;
       (* overflow: wraps, overwriting 10 *)
       for _ = 1 to 3 do
-        popped := Ba_predict.Return_stack.pop s :: !popped
-      done);
+        popped := Return_stack.pop s :: !popped
+      done;
+      Return_stack.flush_obs s);
   let read = Ba_obs.Registry.counter_value r in
-  Alcotest.(check (list (option int)))
-    "wraparound pops newest two, then underflows"
-    [ Some 30; Some 20; None ] (List.rev !popped);
+  Alcotest.(check (list int))
+    "wraparound pops newest two, then underflows" [ 30; 20; -1 ] (List.rev !popped);
   Alcotest.(check int) "pushes" 3 (read "predict.ras.push");
   Alcotest.(check int) "one overflow" 1 (read "predict.ras.overflow");
   Alcotest.(check int) "pops" 3 (read "predict.ras.pop");
@@ -427,24 +550,23 @@ let test_obs_ras_overflow_underflow () =
 let test_obs_btb_set_conflict_eviction () =
   let read =
     counted (fun () ->
-        let btb = Ba_predict.Btb.create ~entries:2 ~assoc:2 in
+        let btb = Btb.create ~entries:2 ~assoc:2 in
         (* one 2-way set: fill it, re-touch the first entry so the second
            becomes LRU, then allocate a third taken branch *)
-        Ba_predict.Btb.update btb ~pc:0x10 ~taken:true ~target:1;
-        Ba_predict.Btb.update btb ~pc:0x20 ~taken:true ~target:2;
-        Ba_predict.Btb.update btb ~pc:0x10 ~taken:true ~target:1;
-        Ba_predict.Btb.update btb ~pc:0x30 ~taken:true ~target:3;
+        Btb.update btb ~pc:0x10 ~taken:true ~target:1;
+        Btb.update btb ~pc:0x20 ~taken:true ~target:2;
+        Btb.update btb ~pc:0x10 ~taken:true ~target:1;
+        Btb.update btb ~pc:0x30 ~taken:true ~target:3;
         let expect pc hit =
           Alcotest.(check bool)
             (Printf.sprintf "pc %#x %s" pc (if hit then "survives" else "evicted"))
             hit
-            (match Ba_predict.Btb.lookup btb ~pc with
-            | Ba_predict.Btb.Hit _ -> true
-            | Ba_predict.Btb.Miss -> false)
+            (Btb.probe btb ~pc >= 0)
         in
         expect 0x10 true;
         expect 0x20 false;
-        expect 0x30 true)
+        expect 0x30 true;
+        Btb.flush_obs btb)
   in
   Alcotest.(check int) "allocations" 3 (read "predict.btb.alloc");
   Alcotest.(check int) "the LRU victim is evicted once" 1 (read "predict.btb.evict");
@@ -455,13 +577,14 @@ let test_obs_btb_set_conflict_eviction () =
 let test_obs_pht_alias_counter () =
   let read =
     counted (fun () ->
-        let pht = Ba_predict.Pht.create_direct ~entries:16 in
+        let pht = Pht.create_direct ~entries:16 in
         (* pc 5 trains the slot; pc 21 = 5 + 16 maps to the same index *)
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        Ba_predict.Pht.update pht ~pc:21 ~taken:false;
-        Ba_predict.Pht.update pht ~pc:5 ~taken:true;
-        ignore (Ba_predict.Pht.predict pht ~pc:5 : bool))
+        Pht.update pht ~pc:5 ~taken:true;
+        Pht.update pht ~pc:5 ~taken:true;
+        Pht.update pht ~pc:21 ~taken:false;
+        Pht.update pht ~pc:5 ~taken:true;
+        ignore (Pht.predict pht ~pc:5 : bool);
+        Pht.flush_obs pht)
   in
   Alcotest.(check int) "one lookup" 1 (read "predict.pht.lookup");
   (* updates where the trained direction already agreed: the second and
@@ -524,6 +647,24 @@ let suites =
         Alcotest.test_case "associativity" `Quick test_icache_associativity_helps;
         Alcotest.test_case "dense beats sparse" `Quick test_icache_dense_beats_sparse;
       ] );
-    ("predict.likely_bits", [ Alcotest.test_case "hints" `Quick test_likely_bits ]);
+    ( "predict.likely_bits",
+      [
+        Alcotest.test_case "hints" `Quick test_likely_bits;
+        Alcotest.test_case "non-conditional pcs rejected" `Quick test_likely_bits_reject_other_pcs;
+      ] );
     ("predict.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+    ( "predict.conformance",
+      [
+        Alcotest.test_case "direct PHT aliasing" `Quick test_conformance_pht_aliasing;
+        Alcotest.test_case "gshare history collision" `Quick test_conformance_gshare_collision;
+        Alcotest.test_case "BTB-64/2 set pressure" `Quick test_conformance_btb_set_pressure;
+        Alcotest.test_case "32-deep return-stack overflow" `Quick test_conformance_ras_overflow;
+      ] );
+    ( "predict.obs",
+      [
+        Alcotest.test_case "counter2 saturation rails" `Quick test_obs_counter2_saturation_rails;
+        Alcotest.test_case "RAS overflow and underflow" `Quick test_obs_ras_overflow_underflow;
+        Alcotest.test_case "BTB set-conflict eviction" `Quick test_obs_btb_set_conflict_eviction;
+        Alcotest.test_case "PHT alias counter" `Quick test_obs_pht_alias_counter;
+      ] );
   ]

@@ -252,6 +252,148 @@ let test_alpha_alignment_helps_end_to_end () =
     (Printf.sprintf "aligned (%.0f) < original (%.0f)" c_al c_orig)
     true (c_al < c_orig)
 
+(* -- The kernels against their reference copy --------------------------------
+   Sim_reference is the record-per-entry, option-returning predictor code
+   the flat kernels replaced.  Every workload's original, Greedy and
+   per-cost-model Try15 images are replayed through both, on the harness's
+   seven architectures plus both two-level schemes and a fully associative
+   BTB, and through the Alpha model with and without the pairing model,
+   at the walls' 20k-step budget.  The reference builds its own LIKELY
+   hints.  Books, cycles and every flushed sim.* / predict.* metric must
+   agree. *)
+
+let kernel_archs image profile =
+  List.map
+    (function
+      | `Likely -> Bep.Static_likely (Ba_predict.Likely_bits.build image profile)
+      | `Arch a -> a)
+    Ba_report.Harness.full_archs
+  @ [
+      Bep.Pht_global { history_bits = 12 };
+      Bep.Pht_local { history_bits = 10; branch_entries = 1024 };
+      Bep.Btb_arch { entries = 16; assoc = 16 };
+    ]
+
+let kernel_images ~profile program =
+  ("orig", Matrix.image_for ~profile program Ba_core.Align.Original ~arch:Ba_core.Cost_model.Btfnt)
+  :: ("greedy", Matrix.image_for ~profile program Ba_core.Align.Greedy ~arch:Ba_core.Cost_model.Btfnt)
+  :: List.map
+       (fun m ->
+         ( "try15/" ^ Ba_core.Cost_model.arch_name m,
+           Matrix.image_for ~profile program (Ba_core.Align.Tryn 15) ~arch:m ))
+       Ba_core.Cost_model.all_arches
+
+let counts_list (c : Bep.counts) =
+  [ c.misfetches; c.mispredicts; c.cond; c.cond_taken; c.cond_correct; c.uncond; c.calls;
+    c.indirect; c.rets; c.rets_correct ]
+
+(* The sim.* / predict.* counters and histograms [f] leaves in a fresh
+   registry. *)
+let kernel_metrics f =
+  let r = Ba_obs.Registry.create () in
+  let v = Ba_obs.Registry.with_registry r f in
+  let ours name = String.starts_with ~prefix:"sim." name || String.starts_with ~prefix:"predict." name in
+  let counters = List.filter (fun (n, _) -> ours n) (Ba_obs.Registry.counters r) in
+  let histograms = List.filter (fun (n, _) -> ours n) (Ba_obs.Registry.histograms r) in
+  (v, counters, histograms)
+
+(* Checks report only on a mismatch: the wall makes thousands of them. *)
+let expect_equal cell what ~expected actual =
+  if expected <> actual then Alcotest.failf "%s: %s differ from the reference" cell what
+
+let check_metrics cell (c1, h1) (c2, h2) =
+  if c1 <> c2 then
+    Alcotest.(check (list (pair string int))) (cell ^ ": sim.*/predict.* counters") c2 c1;
+  expect_equal cell "sim.*/predict.* histograms" ~expected:h2 h1
+
+let test_kernels_match_reference () =
+  let cells = ref 0 in
+  Matrix.iter_traced (fun w program profile trace ->
+      List.iter
+        (fun (label, image) ->
+          let cell = Printf.sprintf "%s %s" w.Ba_workloads.Spec.name label in
+          let archs = kernel_archs image profile in
+          let out, c1, h1 = kernel_metrics (fun () -> Runner.simulate ~trace ~archs image) in
+          let (_, ref_sims), c2, h2 =
+            kernel_metrics (fun () -> Sim_reference.simulate ~profile ~trace ~archs image)
+          in
+          Array.iteri
+            (fun i (arch, sim) ->
+              incr cells;
+              let books = counts_list (Bep.counts sim) in
+              let ref_books = counts_list ref_sims.(i).Sim_reference.Bep.c in
+              if books <> ref_books then
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s %s books" cell (Bep.arch_label arch))
+                  ref_books books)
+            out.Runner.sims;
+          check_metrics cell (c1, h1) (c2, h2);
+          List.iter
+            (fun fp_fraction ->
+              let cell = Printf.sprintf "%s alpha%s" cell (if fp_fraction = None then "" else " fp") in
+              let (r, alpha), c1, h1 =
+                kernel_metrics (fun () -> Runner.simulate_alpha ?fp_fraction ~trace image)
+              in
+              let (_, ref_alpha), c2, h2 =
+                kernel_metrics (fun () -> Sim_reference.simulate_alpha ?fp_fraction ~trace image)
+              in
+              let module R = Sim_reference.Alpha in
+              expect_equal cell "misfetches" ~expected:ref_alpha.R.misfetches (Alpha.misfetches alpha);
+              expect_equal cell "mispredicts" ~expected:ref_alpha.R.mispredicts (Alpha.mispredicts alpha);
+              expect_equal cell "icache misses"
+                ~expected:ref_alpha.R.icache.Sim_reference.Icache.misses (Alpha.icache_misses alpha);
+              expect_equal cell "cycles"
+                ~expected:(Int64.bits_of_float (R.cycles ref_alpha ~insns:r.Engine.insns))
+                (Int64.bits_of_float (Alpha.cycles alpha ~insns:r.Engine.insns));
+              check_metrics cell (c1, h1) (c2, h2))
+            [ None; Some 0.5 ])
+        (kernel_images ~profile program));
+  Printf.printf "kernel wall: %d workload x image x architecture cells bit-equal to the reference\n"
+    !cells
+
+(* -- The allocation gate ------------------------------------------------------
+   The per-event path of every predictor must allocate nothing.  The same
+   image is replayed from traces of N and 2N steps; set-up allocation is
+   identical in both, so the difference in minor words over the difference
+   in events is what each event costs. *)
+
+let words_per_event ~short ~long f =
+  let measure trace =
+    ignore (f trace : int);
+    let w0 = Gc.minor_words () in
+    let events = f trace in
+    (Gc.minor_words () -. w0, events)
+  in
+  let w1, e1 = measure short and w2, e2 = measure long in
+  (w2 -. w1) /. float_of_int (e2 - e1)
+
+let test_allocation_gate () =
+  let w = Matrix.workload "gcc" in
+  let n = 100_000 in
+  let program, profile, short = Ba_workloads.Profiled.get_traced ~max_steps:n w in
+  let _, _, long = Ba_workloads.Profiled.get_traced ~max_steps:(2 * n) w in
+  let image = Ba_layout.Image.original ~profile program in
+  let branches (r : Engine.result) = r.Engine.branches in
+  let sim =
+    words_per_event ~short ~long (fun trace ->
+        branches
+          (Ba_report.Harness.run_image ~max_steps:n ~profile ~trace
+             ~archs:Ba_report.Harness.full_archs image)
+            .Runner.result)
+  in
+  let alpha fp_fraction =
+    words_per_event ~short ~long (fun trace ->
+        branches (fst (Runner.simulate_alpha ?fp_fraction ~trace image)))
+  in
+  let alpha_ideal = alpha None and alpha_paired = alpha (Some 0.08) in
+  Printf.printf
+    "alloc gate: simulate %.4f words/event, simulate_alpha %.4f / %.4f words/event (ideal / paired issue)\n"
+    sim alpha_ideal alpha_paired;
+  List.iter
+    (fun (what, wpe) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %.4f words/event <= 0.01" what wpe) true (wpe <= 0.01))
+    [ ("simulate", sim); ("simulate_alpha", alpha_ideal); ("simulate_alpha ~fp_fraction", alpha_paired) ]
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -317,4 +459,9 @@ let suites =
         Alcotest.test_case "alignment helps" `Quick test_alpha_alignment_helps_end_to_end;
       ] );
     ("sim.properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+    ( "sim.kernels",
+      [
+        Alcotest.test_case "bit-equal to the reference kernels" `Slow test_kernels_match_reference;
+        Alcotest.test_case "allocation gate" `Quick test_allocation_gate;
+      ] );
   ]
