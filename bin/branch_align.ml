@@ -235,11 +235,14 @@ let simulate_cmd name algo arch max_steps metrics =
 
 let hotspots_cmd name top max_steps =
   let workload = lookup name in
-  let program = workload.Ba_workloads.Spec.build () in
+  let program, _profile, trace =
+    Ba_workloads.Profiled.get_traced ~max_steps workload
+  in
   let image = Ba_layout.Image.original program in
   let hot = Ba_report.Hotspots.create image in
   let result =
-    Ba_exec.Engine.run ~max_steps ~on_event:(Ba_report.Hotspots.on_event hot) image
+    Ba_trace.Replay.run ~on_event:(Ba_report.Hotspots.on_event hot)
+      (Ba_trace.Flat.of_image image) trace
   in
   Printf.printf "workload %s: %s branch events in %s instructions\n\n"
     workload.Ba_workloads.Spec.name
@@ -281,9 +284,9 @@ let trace_replay_cmd name path algo arch =
     match algo with
     | Ba_core.Align.Original -> Ba_layout.Image.original program
     | _ ->
-      (* Alignment needs the profile; reconstruct it with the one interpreter
-         pass the trace was recorded from. *)
-      let profile = Ba_exec.Engine.profile_program ~max_steps program in
+      (* Alignment needs the profile: the shared cache's, recorded at the
+         trace's own budget. *)
+      let _program, profile = Ba_workloads.Profiled.get ~max_steps workload in
       Query.image algo ~arch profile
   in
   (* No profile for --algo orig, so no LIKELY bits: the profile-free list. *)
@@ -300,8 +303,7 @@ let trace_replay_cmd name path algo arch =
 
 let disasm_cmd name algo arch proc_id max_steps =
   let workload = lookup name in
-  let program = workload.Ba_workloads.Spec.build () in
-  let profile = Ba_exec.Engine.profile_program ~max_steps program in
+  let program, profile = Ba_workloads.Profiled.get ~max_steps workload in
   if proc_id < 0 || proc_id >= Ba_ir.Program.n_procs program then begin
     Printf.eprintf "procedure id out of range (program has %d)\n"
       (Ba_ir.Program.n_procs program);
@@ -929,8 +931,7 @@ let list_cmd () =
 
 let dump_cfg_cmd name proc_id max_steps =
   let workload = lookup name in
-  let program = workload.Ba_workloads.Spec.build () in
-  let profile = Ba_exec.Engine.profile_program ~max_steps program in
+  let program, profile = Ba_workloads.Profiled.get ~max_steps workload in
   if proc_id < 0 || proc_id >= Ba_ir.Program.n_procs program then begin
     Printf.eprintf "procedure id out of range (program has %d)\n"
       (Ba_ir.Program.n_procs program);

@@ -1,18 +1,8 @@
 open Ba_layout
 
-type breakdown = {
-  straight : float;
-  cond : float;
-  uncond : float;
-  calls : float;
-  indirect : float;
-  returns : float;
-  total : float;
-}
-
-(* Per-position contribution, one field per breakdown category.  Both the
-   whole-procedure breakdown and the per-position view are sums of these,
-   so the two public entry points cannot drift apart. *)
+(* Per-position contribution, one field per cost category.  The
+   whole-layout fold and the per-position view both read these, so the
+   public entry points cannot drift apart. *)
 type site = {
   s_straight : float;
   s_cond : float;
@@ -74,43 +64,38 @@ let site_cost ~arch ~table ~visits ~cond_counts (linear : Linear.t) pos =
   | Linear.Lret -> { site with s_returns = w *. Cost_model.return_cost table }
   | Linear.Lhalt -> { site with s_returns = w *. table.Cost_model.instruction }
 
-let evaluate ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
-    (linear : Linear.t) =
+let site_branch s =
+  s.s_cond +. s.s_uncond +. s.s_calls +. s.s_indirect +. s.s_returns
+
+(* Sum each category over the layout, then drop the layout-independent
+   straight-line total.  The summation order is fixed: every whole-layout
+   price in the system is this fold, so they all agree bit for bit. *)
+let branch_cost_of_sites sites =
   let straight = ref 0.0 in
   let cond = ref 0.0 in
   let uncond = ref 0.0 in
   let calls = ref 0.0 in
   let indirect = ref 0.0 in
   let returns = ref 0.0 in
-  Array.iteri
-    (fun pos _ ->
-      let s = site_cost ~arch ~table ~visits ~cond_counts linear pos in
+  Array.iter
+    (fun s ->
       straight := !straight +. s.s_straight;
       cond := !cond +. s.s_cond;
       uncond := !uncond +. s.s_uncond;
       calls := !calls +. s.s_calls;
       indirect := !indirect +. s.s_indirect;
       returns := !returns +. s.s_returns)
-    linear.Linear.blocks;
-  let total = !straight +. !cond +. !uncond +. !calls +. !indirect +. !returns in
-  {
-    straight = !straight;
-    cond = !cond;
-    uncond = !uncond;
-    calls = !calls;
-    indirect = !indirect;
-    returns = !returns;
-    total;
-  }
+    sites;
+  !straight +. !cond +. !uncond +. !calls +. !indirect +. !returns -. !straight
 
-let per_block ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
+let sites ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
     (linear : Linear.t) =
   Array.mapi
-    (fun pos _ ->
-      let s = site_cost ~arch ~table ~visits ~cond_counts linear pos in
-      s.s_cond +. s.s_uncond +. s.s_calls +. s.s_indirect +. s.s_returns)
+    (fun pos _ -> site_cost ~arch ~table ~visits ~cond_counts linear pos)
     linear.Linear.blocks
 
+let per_block ~arch ?table ~visits ~cond_counts linear =
+  Array.map site_branch (sites ~arch ?table ~visits ~cond_counts linear)
+
 let branch_cost ~arch ?table ~visits ~cond_counts linear =
-  let b = evaluate ~arch ?table ~visits ~cond_counts linear in
-  b.total -. b.straight
+  branch_cost_of_sites (sites ~arch ?table ~visits ~cond_counts linear)

@@ -9,16 +9,6 @@
     smarter algorithms never lose to the simpler ones under their own
     model. *)
 
-type breakdown = {
-  straight : float;  (** straight-line instruction cycles *)
-  cond : float;  (** conditional branch cycles, inserted jumps included *)
-  uncond : float;  (** unconditional branch cycles (jumps, call continuations) *)
-  calls : float;  (** direct call cycles *)
-  indirect : float;  (** switch / vcall cycles *)
-  returns : float;
-  total : float;
-}
-
 type site = {
   s_straight : float;
   s_cond : float;
@@ -27,10 +17,12 @@ type site = {
   s_indirect : float;
   s_returns : float;
 }
-(** One layout position's contribution, one field per [breakdown]
-    category.  [evaluate] and [per_block] are sums of these, so exposing
-    the per-position view lets incremental evaluators cache sites and
-    re-price only the positions a local move affects, bit-for-bit. *)
+(** One layout position's contribution, one field per cost category:
+    straight-line instructions, conditional branches (inserted jumps
+    included), unconditional branches (jumps, call continuations), direct
+    calls, switches and vcalls, and returns.  Every price below is a fold
+    of these, so incremental evaluators can cache sites and re-price only
+    the positions a local move affects, bit-for-bit. *)
 
 val site_cost :
   arch:Cost_model.arch ->
@@ -44,16 +36,25 @@ val site_cost :
     [src]/[insns]/[term] and the position index (taken-branch direction is
     positional), never on assigned addresses. *)
 
-val evaluate :
+val site_branch : site -> float
+(** Branch cycles of one position: every category but straight-line. *)
+
+val branch_cost_of_sites : site array -> float
+(** The whole-layout fold: each category summed over the positions in
+    order, then the layout-independent straight-line total subtracted.
+    {!branch_cost} and the incremental evaluators price through it, so
+    they agree bit for bit by construction. *)
+
+val sites :
   arch:Cost_model.arch ->
   ?table:Cost_model.table ->
   visits:(Ba_ir.Term.block_id -> int) ->
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   Ba_layout.Linear.t ->
-  breakdown
-(** [visits] and [cond_counts] come from a {!Ba_cfg.Profile}; counts are the
-    semantic per-block numbers, so the same profile scores every layout of
-    the procedure. *)
+  site array
+(** {!site_cost} of every position.  [visits] and [cond_counts] come from
+    a {!Ba_cfg.Profile}; counts are the semantic per-block numbers, so the
+    same profile scores every layout of the procedure. *)
 
 val per_block :
   arch:Cost_model.arch ->
@@ -62,10 +63,9 @@ val per_block :
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   Ba_layout.Linear.t ->
   float array
-(** Branch cycles (straight-line component excluded) attributed to each
-    layout position.  Sums to {!branch_cost}; the static cost certifier
-    cross-checks its independent recomputation against this position by
-    position, so a divergence is localised to one site. *)
+(** {!site_branch} of every position.  Sums to {!branch_cost}; the static
+    cost certifier cross-checks its independent recomputation against this
+    position by position, so a divergence is localised to one site. *)
 
 val branch_cost :
   arch:Cost_model.arch ->
@@ -74,5 +74,5 @@ val branch_cost :
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   Ba_layout.Linear.t ->
   float
-(** [evaluate] minus the layout-independent straight-line component — the
-    "branch execution cost" the paper quotes for Figure 3. *)
+(** {!branch_cost_of_sites} of {!sites}: the "branch execution cost" the
+    paper quotes for Figure 3. *)

@@ -5,25 +5,26 @@ open Ba_sim
 
 (* Simulator-exact candidate pricing.
 
-   [Stream.build] runs the replay walk once; after that, pricing a candidate
-   layout is a function of its geometry only (block addresses, operand
-   values, branch senses).  Per architecture family:
+   [Stream.build] walks the trace once; after that, pricing a candidate
+   layout is a function of its geometry (block addresses, operand values,
+   branch senses) and, for the BTB, of the trace itself.  Per architecture
+   family:
 
    - {b static rules} (fallthrough / BTFNT / likely): every prediction is a
      pure per-site function of the candidate geometry, so the whole cost is
      a closed form over per-site counts — no replay at all;
-   - {b tables / adaptive} (PHT direct, gshare, GAg, PAg): misfetch traffic
-     stays closed-form; only the conditional direction stream is
-     history-dependent, and that substream is replayed against a real
-     predictor instance.  Three fast paths keep this scoped: if no executed
-     conditional changed its branch pc or sense, the cached base penalty is
-     exact; for GAg the index ignores the pc entirely so only sense changes
-     matter; for the direct-mapped PHT a small set of changed sites touches
-     a small set of table entries, and a dual-table replay over just those
-     entries corrects the cached total;
+   - {b tables} (PHT direct, gshare): misfetch traffic stays closed-form;
+     only the conditional direction stream is history-dependent, and that
+     substream is replayed against a real predictor instance.  Two fast
+     paths keep this scoped: if no executed conditional changed its branch
+     pc or sense, the cached base penalty is exact; for the direct-mapped
+     PHT a small set of changed sites touches a small set of table
+     entries, and a dual-table replay over just those entries corrects the
+     cached total;
    - {b BTB}: every event kind reads and trains shared associative state,
-     so the exact event stream the replayer would produce on the candidate
-     is synthesised from the step records and fed to a real {!Bep.t}.
+     so the trace is replayed over the candidate's flat image
+     ({!Replay.run}) into a real {!Bep.t} — the same event source
+     {!Runner.simulate} drives every architecture from.
 
    The differential wall in [test_delta.ml] holds every path to bit
    equality with [Runner.simulate]. *)
@@ -34,8 +35,6 @@ type spec =
   | Likely
   | Pht_direct of { entries : int }
   | Pht_gshare of { entries : int; history_bits : int }
-  | Pht_global of { history_bits : int }
-  | Pht_local of { history_bits : int; branch_entries : int }
   | Btb of { entries : int; assoc : int }
 
 let spec_label = function
@@ -45,9 +44,6 @@ let spec_label = function
   | Pht_direct { entries } -> Printf.sprintf "pht%d" entries
   | Pht_gshare { entries; history_bits } ->
     Printf.sprintf "gshare%d/%d" entries history_bits
-  | Pht_global { history_bits } -> Printf.sprintf "gag%d" history_bits
-  | Pht_local { history_bits; branch_entries } ->
-    Printf.sprintf "pag%d/%d" history_bits branch_entries
   | Btb { entries; assoc } -> Printf.sprintf "btb%d/%d" entries assoc
 
 (* Each cost-model architecture's canonical simulated configuration. *)
@@ -65,9 +61,6 @@ let to_arch spec ~image ~profile =
   | Likely -> Bep.Static_likely (Likely_bits.build image profile)
   | Pht_direct { entries } -> Bep.Pht_direct { entries }
   | Pht_gshare { entries; history_bits } -> Bep.Pht_gshare { entries; history_bits }
-  | Pht_global { history_bits } -> Bep.Pht_global { history_bits }
-  | Pht_local { history_bits; branch_entries } ->
-    Bep.Pht_local { history_bits; branch_entries }
   | Btb { entries; assoc } -> Bep.Btb_arch { entries; assoc }
 
 type stats = {
@@ -89,6 +82,7 @@ type geom = {
 
 type t = {
   stream : Stream.t;
+  trace : Trace.t;
   profile : Ba_cfg.Profile.t;
   specs : spec array;
   penalties : Bep.penalties;
@@ -172,15 +166,11 @@ let ret_mp_count t geom =
     let fl = geom.flat in
     let ras = Return_stack.create ~depth:t.ras_depth in
     let mp = ref 0 in
-    let ri = ref 0 in
     Array.iter
       (fun r ->
-        let tag = r land 7 in
-        if tag = Stream.tag_call || tag = Stream.tag_vcall then
-          Return_stack.push ras (geom.bpc.(r lsr 3) + 1)
-        else if tag = Stream.tag_ret then begin
-          let f = st.Stream.ret_frames.(!ri) in
-          incr ri;
+        if r land 1 = 0 then Return_stack.push ras (geom.bpc.(r lsr 1) + 1)
+        else begin
+          let f = (r lsr 1) - 1 in
           let target =
             if f < 0 then 0
             else begin
@@ -191,7 +181,7 @@ let ret_mp_count t geom =
           in
           if Return_stack.pop ras <> target then incr mp
         end)
-      st.Stream.recs;
+      st.Stream.ras_recs;
     !mp
   end
 
@@ -256,15 +246,11 @@ let full_cond_penalty t geom spec =
     replay_cond t geom ~step:(Pht.step (Pht.create_direct ~entries))
   | Pht_gshare { entries; history_bits } ->
     replay_cond t geom ~step:(Pht.step (Pht.create_gshare ~entries ~history_bits))
-  | Pht_global { history_bits } ->
-    replay_cond t geom ~step:(Two_level.step (Two_level.create_global ~history_bits ()))
-  | Pht_local { history_bits; branch_entries } ->
-    replay_cond t geom ~step:(Two_level.step (Two_level.create_local ~history_bits ~branch_entries ()))
   | Fallthrough | Btfnt | Likely | Btb _ -> assert false
 
 (* Executed conditional sites whose branch pc or sense differ from the
    base geometry — the only sites that can perturb table state. *)
-let changed_conds t geom ~ignore_pc =
+let changed_conds t geom =
   let st = t.stream in
   let fl = geom.flat and bfl = t.base_geom.flat in
   let acc = ref [] in
@@ -272,10 +258,8 @@ let changed_conds t geom ~ignore_pc =
     if st.Stream.opcode.(s) = Flat.ocond && st.Stream.n_exec.(s) > 0 then begin
       let sense = fl.Flat.b.(geom.to_g.(s)) in
       let bsense = bfl.Flat.b.(t.base_geom.to_g.(s)) in
-      if
-        sense <> bsense
-        || ((not ignore_pc) && geom.bpc.(s) <> t.base_geom.bpc.(s))
-      then acc := s :: !acc
+      if sense <> bsense || geom.bpc.(s) <> t.base_geom.bpc.(s) then
+        acc := s :: !acc
     end
   done;
   !acc
@@ -325,134 +309,46 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
     t.stream.Stream.cond_recs;
   cached_base - !base_pen + !cand_pen
 
+(* The cached base is exact when no executed conditional changed.  A
+   direct PHT with few changed sites takes the entry-scoped replay; for
+   gshare a single pc change perturbs the shared history of every later
+   access, so it is all or nothing. *)
 let table_cond_penalty t geom ix spec =
   let cached = t.base_cond.(ix) in
-  match spec with
-  | Pht_global _ ->
-    (* the GAg index is history-only: branch addresses are invisible *)
-    if changed_conds t geom ~ignore_pc:true = [] then begin
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    end
-    else begin
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec
-    end
-  | Pht_direct { entries } -> (
-    match changed_conds t geom ~ignore_pc:false with
-    | [] ->
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    | changed when List.compare_length_with changed t.scoped_max <= 0 ->
-      t.stats.cond_scoped <- t.stats.cond_scoped + 1;
-      scoped_direct_penalty t geom ~entries changed cached
-    | _ ->
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec)
-  | Pht_gshare _ | Pht_local _ ->
-    (* a single pc change perturbs shared history / shared counters for
-       every later access: all or nothing *)
-    if changed_conds t geom ~ignore_pc:false = [] then begin
-      t.stats.cond_cached <- t.stats.cond_cached + 1;
-      cached
-    end
-    else begin
-      t.stats.cond_replayed <- t.stats.cond_replayed + 1;
-      full_cond_penalty t geom spec
-    end
-  | Fallthrough | Btfnt | Likely | Btb _ -> assert false
+  match (spec, changed_conds t geom) with
+  | _, [] ->
+    t.stats.cond_cached <- t.stats.cond_cached + 1;
+    cached
+  | Pht_direct { entries }, changed
+    when List.compare_length_with changed t.scoped_max <= 0 ->
+    t.stats.cond_scoped <- t.stats.cond_scoped + 1;
+    scoped_direct_penalty t geom ~entries changed cached
+  | _ ->
+    t.stats.cond_replayed <- t.stats.cond_replayed + 1;
+    full_cond_penalty t geom spec
 
-(* BTB: synthesise the exact event stream the replayer would produce on
-   the candidate layout and feed a real [Bep.t]. *)
-let machine_run t geom arch =
+(* BTB: replay the trace over the candidate's flat image into a real
+   [Bep.t]. *)
+let btb_penalty t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
   let sim =
     Bep.create ~penalties:t.penalties ~return_stack_depth:t.ras_depth arch
   in
-  let st = t.stream and fl = geom.flat in
-  let scratch = { Ba_exec.Event.pc = 0; target = 0; kind = Ba_exec.Event.Uncond } in
-  let cond_payload = { Ba_exec.Event.pc = 0; target = 0;
-                       kind = Ba_exec.Event.Cond { taken = false; taken_target = 0 } } in
-  let emit pc target kind =
-    scratch.Ba_exec.Event.pc <- pc;
-    scratch.Ba_exec.Event.target <- target;
-    scratch.Ba_exec.Event.kind <- kind;
-    Bep.on_event sim scratch
-  in
-  let emit_cond pc target ~taken ~taken_target =
-    (match cond_payload.Ba_exec.Event.kind with
-    | Ba_exec.Event.Cond c ->
-      c.taken <- taken;
-      c.taken_target <- taken_target
-    | _ -> assert false);
-    cond_payload.Ba_exec.Event.pc <- pc;
-    cond_payload.Ba_exec.Event.target <- target;
-    Bep.on_event sim cond_payload
-  in
-  let ci = ref 0 and ri = ref 0 in
-  Array.iter
-    (fun r ->
-      let s = r lsr 3 in
-      let tag = r land 7 in
-      let g = geom.to_g.(s) in
-      let pc = geom.bpc.(s) in
-      if tag = Stream.tag_plain then begin
-        if fl.Flat.opcode.(g) = Flat.ojump then
-          emit pc fl.Flat.addr.(fl.Flat.a.(g)) Ba_exec.Event.Uncond
-      end
-      else if tag = Stream.tag_cond_true || tag = Stream.tag_cond_false then begin
-        let outcome = tag = Stream.tag_cond_true in
-        let taken = outcome = (fl.Flat.b.(g) = 1) in
-        let tt = fl.Flat.addr.(fl.Flat.a.(g)) in
-        if taken then emit_cond pc tt ~taken:true ~taken_target:tt
-        else begin
-          emit_cond pc (pc + 1) ~taken:false ~taken_target:tt;
-          let j = fl.Flat.c.(g) in
-          if j >= 0 then emit (pc + 1) fl.Flat.addr.(j) Ba_exec.Event.Uncond
-        end
-      end
-      else if tag = Stream.tag_switch then begin
-        let k = st.Stream.choices.(!ci) in
-        incr ci;
-        emit pc fl.Flat.addr.(fl.Flat.succ.(fl.Flat.a.(g) + k))
-          Ba_exec.Event.Indirect_jump
-      end
-      else if tag = Stream.tag_call then
-        emit pc fl.Flat.addr.(fl.Flat.a.(g)) Ba_exec.Event.Call
-      else if tag = Stream.tag_vcall then begin
-        let k = st.Stream.choices.(!ci) in
-        incr ci;
-        emit pc fl.Flat.addr.(fl.Flat.succ.(fl.Flat.a.(g) + k))
-          Ba_exec.Event.Indirect_call
-      end
-      else if tag = Stream.tag_ret then begin
-        let f = st.Stream.ret_frames.(!ri) in
-        incr ri;
-        if f < 0 then emit pc 0 Ba_exec.Event.Ret
-        else begin
-          let gf = geom.to_g.(f) in
-          let jpc = fl.Flat.b.(gf) in
-          let resume = fl.Flat.addr.(fl.Flat.c.(gf)) in
-          if jpc < 0 then emit pc resume Ba_exec.Event.Ret
-          else begin
-            emit pc jpc Ba_exec.Event.Ret;
-            emit jpc resume Ba_exec.Event.Uncond
-          end
-        end
-      end)
-    st.Stream.recs;
+  ignore
+    (Replay.run ~on_event:(Bep.on_event sim) geom.flat t.trace
+      : Ba_exec.Engine.result);
   Bep.bep sim
 
 let cost_spec t geom ~noncond ~ret_mp ix spec =
   match spec with
-  | Btb { entries; assoc } -> machine_run t geom (Bep.Btb_arch { entries; assoc })
+  | Btb { entries; assoc } -> btb_penalty t geom (Bep.Btb_arch { entries; assoc })
   | Fallthrough | Btfnt | Likely ->
     t.stats.closed_form <- t.stats.closed_form + 1;
     let mf0, mp0 = Lazy.force noncond in
     let mf1, mp1 = rule_cond_counts t geom spec in
     ((mf0 + mf1) * t.penalties.Bep.misfetch)
     + ((mp0 + mp1 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
-  | Pht_direct _ | Pht_gshare _ | Pht_global _ | Pht_local _ ->
+  | Pht_direct _ | Pht_gshare _ ->
     let mf0, mp0 = Lazy.force noncond in
     (mf0 * t.penalties.Bep.misfetch)
     + ((mp0 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
@@ -476,6 +372,7 @@ let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
   let t =
     {
       stream;
+      trace;
       profile;
       specs = Array.copy specs;
       penalties;
@@ -490,15 +387,11 @@ let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
   Array.iteri
     (fun ix spec ->
       match spec with
-      | Pht_direct _ | Pht_gshare _ | Pht_global _ | Pht_local _ ->
+      | Pht_direct _ | Pht_gshare _ ->
         t.base_cond.(ix) <- full_cond_penalty t base_geom spec
       | Fallthrough | Btfnt | Likely | Btb _ -> ())
     t.specs;
   t
-
-let specs t = Array.copy t.specs
-
-let n_steps t = t.stream.Stream.n_steps
 
 let stats t = t.stats
 
@@ -515,8 +408,3 @@ let cost_arch t ix decisions =
   let noncond = lazy (noncond_counts t geom) in
   let ret_mp = lazy (ret_mp_count t geom) in
   cost_spec t geom ~noncond ~ret_mp ix t.specs.(ix)
-
-let delta t decisions mv =
-  let before = cost t decisions in
-  let after = cost t (Move.apply decisions mv) in
-  Array.map2 (fun a b -> a - b) after before

@@ -1,17 +1,19 @@
 (** Simulator-exact incremental candidate pricing.
 
-    One {!Stream.build} pass over the recorded trace makes every later
-    candidate evaluation a function of the candidate's geometry alone.
-    {!cost} then returns, per requested architecture, {e exactly} the
-    integer penalty cycles {!Ba_sim.Runner.simulate} would report for a
-    full replay of the trace on that layout ([Bep.bep]) — the differential
-    wall in [test_delta.ml] enforces bit equality.
+    One {!Stream.build} pass over the recorded trace summarises everything
+    the static rules and the tables read.  {!cost} then returns, per
+    requested architecture, {e exactly} the integer penalty cycles
+    {!Ba_sim.Runner.simulate} would report for a full replay of the trace
+    on that layout ([Bep.bep]) — the differential wall in [test_delta.ml]
+    enforces bit equality.
 
-    Static rules are priced by closed form over per-site counts; table and
-    adaptive predictors replay only the conditional-direction substream,
-    with cached / entry-scoped fast paths when the move left predictor
-    inputs unchanged; the BTB synthesises the exact event stream into a
-    real {!Ba_sim.Bep.t}.  {!stats} reports which paths ran. *)
+    Static rules are priced by closed form over per-site counts; table
+    predictors replay only the conditional-direction substream, with
+    cached / entry-scoped fast paths when the move left predictor inputs
+    unchanged; the BTB replays the trace over the candidate's flat image
+    ({!Ba_trace.Replay.run}) into a real {!Ba_sim.Bep.t}, the one event
+    source every architecture is judged on.  {!stats} reports which paths
+    ran. *)
 
 type spec =
   | Fallthrough
@@ -19,8 +21,6 @@ type spec =
   | Likely  (** hint bits rebuilt per candidate image, as the gap study does *)
   | Pht_direct of { entries : int }
   | Pht_gshare of { entries : int; history_bits : int }
-  | Pht_global of { history_bits : int }
-  | Pht_local of { history_bits : int; branch_entries : int }
   | Btb of { entries : int; assoc : int }
 
 val spec_label : spec -> string
@@ -42,7 +42,7 @@ type stats = {
   mutable cond_cached : int;  (** table substream: cached base reused *)
   mutable cond_scoped : int;  (** table substream: entry-scoped dual replay *)
   mutable cond_replayed : int;  (** table substream: full replay *)
-  mutable machine_runs : int;  (** BTB synthesised-event machine runs *)
+  mutable machine_runs : int;  (** BTB trace replays *)
   mutable ras_substreams : int;  (** call/return substream replays *)
 }
 
@@ -57,14 +57,13 @@ val create :
   Ba_trace.Trace.t ->
   Ba_layout.Decision.t array ->
   t
-(** [create ~specs profile trace base] replays the trace once (shape only)
-    and prices the base layout's conditional substreams so later
-    candidates near [base] hit the cached paths.  Defaults: the paper's
+(** [create ~specs profile trace base] walks the trace once
+    ({!Stream.build}), keeps it for the BTB replays, and prices the base
+    layout's conditional substreams so later candidates near [base] hit
+    the cached paths.  Defaults: the paper's
     penalties (1/4), a 32-entry return stack, and entry-scoped direct-PHT
     replay for at most [scoped_max = 32] changed sites. *)
 
-val specs : t -> spec array
-val n_steps : t -> int
 val stats : t -> stats
 
 val cost : t -> Ba_layout.Decision.t array -> int array
@@ -73,6 +72,3 @@ val cost : t -> Ba_layout.Decision.t array -> int array
 
 val cost_arch : t -> int -> Ba_layout.Decision.t array -> int
 (** [cost] for the single spec at the given index. *)
-
-val delta : t -> Ba_layout.Decision.t array -> Move.t -> int array
-(** Per-spec cost change of applying the move: [cost after - cost before]. *)

@@ -54,60 +54,25 @@ let create ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts proc
   | Error e -> invalid_arg ("Ba_delta.Model.create: " ^ e)
   | Ok () -> ());
   let linear = Lower.lower ~cond_counts proc decision in
-  let n = Array.length decision.Decision.order in
-  let t =
-    {
-      proc;
-      arch;
-      table;
-      visits;
-      cond_counts;
-      order = Array.copy decision.Decision.order;
-      pos = Decision.position decision;
-      neither = Array.copy decision.Decision.neither;
-      linear;
-      sites = Array.make n Layout_cost.{
-        s_straight = 0.0; s_cond = 0.0; s_uncond = 0.0; s_calls = 0.0;
-        s_indirect = 0.0; s_returns = 0.0 };
-    }
-  in
-  for j = 0 to n - 1 do
-    t.sites.(j) <-
-      Layout_cost.site_cost ~arch ~table ~visits ~cond_counts linear j
-  done;
-  t
+  {
+    proc;
+    arch;
+    table;
+    visits;
+    cond_counts;
+    order = Array.copy decision.Decision.order;
+    pos = Decision.position decision;
+    neither = Array.copy decision.Decision.neither;
+    linear;
+    sites = Layout_cost.sites ~arch ~table ~visits ~cond_counts linear;
+  }
 
 let n_positions t = Array.length t.order
 
 let decision t =
   Decision.of_order ~neither:(Array.copy t.neither) (Array.copy t.order)
 
-(* Same fold as [Layout_cost.evaluate] followed by [branch_cost]'s
-   subtraction, so the result is bit-equal to pricing a fresh lowering. *)
-let total t =
-  let straight = ref 0.0 in
-  let cond = ref 0.0 in
-  let uncond = ref 0.0 in
-  let calls = ref 0.0 in
-  let indirect = ref 0.0 in
-  let returns = ref 0.0 in
-  Array.iter
-    (fun (s : Layout_cost.site) ->
-      straight := !straight +. s.Layout_cost.s_straight;
-      cond := !cond +. s.Layout_cost.s_cond;
-      uncond := !uncond +. s.Layout_cost.s_uncond;
-      calls := !calls +. s.Layout_cost.s_calls;
-      indirect := !indirect +. s.Layout_cost.s_indirect;
-      returns := !returns +. s.Layout_cost.s_returns)
-    t.sites;
-  let all = !straight +. !cond +. !uncond +. !calls +. !indirect +. !returns in
-  all -. !straight
-
-let branch_site (s : Layout_cost.site) =
-  s.Layout_cost.s_cond +. s.Layout_cost.s_uncond +. s.Layout_cost.s_calls
-  +. s.Layout_cost.s_indirect +. s.Layout_cost.s_returns
-
-let site_values t = Array.map branch_site t.sites
+let total t = Layout_cost.branch_cost_of_sites t.sites
 
 let check_swap t i =
   let n = Array.length t.order in
@@ -161,7 +126,7 @@ let with_move t m f =
 let preview t m = with_move t m (fun _ -> total t)
 
 let window_sum t w =
-  List.fold_left (fun acc j -> acc +. branch_site t.sites.(j)) 0.0 w
+  List.fold_left (fun acc j -> acc +. Layout_cost.site_branch t.sites.(j)) 0.0 w
 
 let delta t m =
   let old_sum = window_sum t (window t m) in

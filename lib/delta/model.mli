@@ -5,13 +5,15 @@
     local move ({!Move.local}) by re-lowering only the affected window —
     O(1) positions instead of a full {!Ba_layout.Lower.lower} pass.
 
-    Exactness contract: {!total} and {!preview} are bit-equal to
-    {!Ba_core.Layout_cost.branch_cost} of the corresponding freshly
-    lowered layout, {!site_values} is bit-equal to
-    {!Ba_core.Layout_cost.per_block}, and {!delta} equals the sum of the
-    per-position differences over the move's window (positions outside the
-    window are untouched bit-for-bit).  The move-algebra tests in
-    [test_delta.ml] enforce all three. *)
+    Exactness contract: {!total} and {!preview} price the cached sites
+    with {!Ba_core.Layout_cost.branch_cost_of_sites}, the fold
+    {!Ba_core.Layout_cost.branch_cost} itself uses, so they are bit-equal
+    to it on the corresponding freshly lowered layout as long as every
+    cached site equals its fresh re-pricing.  {!delta} is the sum of the
+    per-position {!Ba_core.Layout_cost.site_branch} differences over the
+    move's window (positions outside the window are untouched
+    bit-for-bit).  The move-algebra tests in [test_delta.ml] enforce
+    both. *)
 
 type t
 
@@ -34,10 +36,6 @@ val decision : t -> Ba_layout.Decision.t
 val total : t -> float
 (** Exact branch cost of the current layout under the model's
     architecture — bit-equal to {!Ba_core.Layout_cost.branch_cost}. *)
-
-val site_values : t -> float array
-(** Per-position branch cycles — bit-equal to
-    {!Ba_core.Layout_cost.per_block}. *)
 
 val preview : t -> Move.local -> float
 (** Branch cost of the layout after the move, without committing it.

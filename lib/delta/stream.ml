@@ -1,26 +1,14 @@
 open Ba_trace
 
-(* Layout-independent step records, extracted from one replay-shaped walk
-   of the trace over the program's original image.
+(* Layout-independent execution summaries, extracted from one replay-shaped
+   walk of the trace over the program's original image.
 
    A {e site} is a semantic block, numbered [pbase.(proc) + block] — the
    global position the block has in the identity layout, which is also
-   layout-invariant.  One record per executed step carries the site and a
-   tag naming what the step consumed ([Plain] steps — jumps, fall-throughs
-   — consume nothing); switch/vcall selections and the popped frame of
-   every return ride in side arrays, in execution order.  Given any
-   candidate layout's geometry, the exact event sequence
-   {!Ba_trace.Replay.run} would produce on that layout is a deterministic
-   function of these records — that is what {!Eval} exploits. *)
-
-let tag_plain = 0
-let tag_cond_false = 1
-let tag_cond_true = 2
-let tag_switch = 3
-let tag_call = 4
-let tag_vcall = 5
-let tag_ret = 6
-let tag_halt = 7
+   layout-invariant.  The walk keeps per-site execution counts, the
+   conditional-direction substream and the call/return substream: the
+   inputs of every closed-form and substream price {!Eval} computes for a
+   candidate layout's geometry. *)
 
 type t = {
   program : Ba_ir.Program.t;
@@ -29,10 +17,8 @@ type t = {
   site_proc : int array;
   site_block : int array;
   opcode : int array;  (** semantic terminator class per site (Flat codes) *)
-  n_steps : int;
-  recs : int array;  (** (site lsl 3) lor tag, per step *)
-  choices : int array;  (** switch/vcall selected indices, in order *)
-  ret_frames : int array;  (** per return: pushing call site, or -1 *)
+  ras_recs : int array;
+      (** 2 * site per call/vcall, 2 * (frame + 1) + 1 per return *)
   cond_recs : int array;  (** (site lsl 1) lor outcome, conditionals only *)
   n_exec : int array;  (** per site *)
   n_true : int array;  (** semantic [true] outcomes, per conditional site *)
@@ -79,9 +65,7 @@ let build program (tr : Trace.t) =
       site_block.(s) <- s - pbase.(p)
     done
   done;
-  let recs = Grow.create () in
-  let choices = Grow.create () in
-  let ret_frames = Grow.create () in
+  let ras_recs = Grow.create () in
   let cond_recs = Grow.create () in
   let n_exec = Array.make n_sites 0 in
   let n_true = Array.make n_sites 0 in
@@ -146,13 +130,9 @@ let build program (tr : Trace.t) =
     incr steps;
     n_exec.(gp) <- n_exec.(gp) + 1;
     let op = opcode.(gp) in
-    if op = Flat.onone then begin
-      Grow.push recs ((gp lsl 3) lor tag_plain);
-      g := gp + 1
-    end
+    if op = Flat.onone then g := gp + 1
     else if op = Flat.ocond then begin
       let outcome = next_outcome () in
-      Grow.push recs ((gp lsl 3) lor (if outcome then tag_cond_true else tag_cond_false));
       Grow.push cond_recs ((gp lsl 1) lor (if outcome then 1 else 0));
       if outcome then n_true.(gp) <- n_true.(gp) + 1
       else n_false.(gp) <- n_false.(gp) + 1;
@@ -162,48 +142,28 @@ let build program (tr : Trace.t) =
         if j < 0 then g := gp + 1 else g := j
       end
     end
-    else if op = Flat.ojump then begin
-      Grow.push recs ((gp lsl 3) lor tag_plain);
-      g := fa.(gp)
-    end
-    else if op = Flat.oswitch then begin
-      let k = next_choice () in
-      Grow.push recs ((gp lsl 3) lor tag_switch);
-      Grow.push choices k;
-      g := succ.(fa.(gp) + k)
-    end
-    else if op = Flat.ocall then begin
-      Grow.push recs ((gp lsl 3) lor tag_call);
+    else if op = Flat.ojump then g := fa.(gp)
+    else if op = Flat.oswitch then g := succ.(fa.(gp) + next_choice ())
+    else if op = Flat.ocall || op = Flat.ovcall then begin
+      Grow.push ras_recs (gp lsl 1);
       push gp fc.(gp);
-      g := fa.(gp)
-    end
-    else if op = Flat.ovcall then begin
-      let k = next_choice () in
-      Grow.push recs ((gp lsl 3) lor tag_vcall);
-      Grow.push choices k;
-      push gp fc.(gp);
-      g := succ.(fa.(gp) + k)
+      g := if op = Flat.ocall then fa.(gp) else succ.(fa.(gp) + next_choice ())
     end
     else if op = Flat.oret then begin
-      Grow.push recs ((gp lsl 3) lor tag_ret);
       if !sp = 0 then begin
-        Grow.push ret_frames (-1);
+        Grow.push ras_recs 1;
         incr n_underflow;
         running := false
       end
       else begin
         decr sp;
         let f = !s_site.(!sp) in
-        Grow.push ret_frames f;
+        Grow.push ras_recs (((f + 1) lsl 1) lor 1);
         n_rets_to.(f) <- n_rets_to.(f) + 1;
         g := !s_res.(!sp)
       end
     end
-    else begin
-      (* ohalt *)
-      Grow.push recs ((gp lsl 3) lor tag_halt);
-      running := false
-    end
+    else (* ohalt *) running := false
   done;
   {
     program;
@@ -212,10 +172,7 @@ let build program (tr : Trace.t) =
     site_proc;
     site_block;
     opcode = Array.copy opcode;
-    n_steps = !steps;
-    recs = Grow.finish recs;
-    choices = Grow.finish choices;
-    ret_frames = Grow.finish ret_frames;
+    ras_recs = Grow.finish ras_recs;
     cond_recs = Grow.finish cond_recs;
     n_exec;
     n_true;

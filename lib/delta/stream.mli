@@ -1,23 +1,11 @@
 (** Layout-independent execution summaries.
 
     One replay-shaped pass over the recorded trace (driven on the
-    program's identity layout, where global position = site id) yields a
-    per-step record stream plus per-site counts.  Everything here is a
-    function of the program and the semantic trace only — no candidate
-    layout's addresses appear — so one [build] serves every layout
-    {!Eval} prices. *)
-
-(** Step tags.  [tag_plain] covers jumps, fall-throughs and
-    terminator-free steps. *)
-
-val tag_plain : int
-val tag_cond_false : int
-val tag_cond_true : int
-val tag_switch : int
-val tag_call : int
-val tag_vcall : int
-val tag_ret : int
-val tag_halt : int
+    program's identity layout, where global position = site id) yields
+    per-site counts plus the conditional-direction and call/return
+    substreams.  Everything here is a function of the program and the
+    semantic trace only — no candidate layout's addresses appear — so one
+    [build] serves every layout {!Eval} prices. *)
 
 type t = {
   program : Ba_ir.Program.t;
@@ -26,10 +14,10 @@ type t = {
   site_proc : int array;
   site_block : int array;
   opcode : int array;  (** semantic terminator class per site (Flat codes) *)
-  n_steps : int;
-  recs : int array;  (** [(site lsl 3) lor tag], per executed step *)
-  choices : int array;  (** switch/vcall selected indices, in order *)
-  ret_frames : int array;  (** per return: pushing call site, or [-1] *)
+  ras_recs : int array;
+      (** call/return substream, in execution order: [2 * site] per call
+          or vcall, [2 * (frame + 1) + 1] per return, where [frame] is the
+          pushing call site or [-1] on underflow *)
   cond_recs : int array;  (** [(site lsl 1) lor outcome], conditionals only *)
   n_exec : int array;  (** per site *)
   n_true : int array;  (** semantic [true] outcomes, per conditional site *)

@@ -1,17 +1,20 @@
 #!/bin/sh
-# The predictor kernels run once per simulated branch event, so they must
-# stay on int comparisons.  Stdlib's bare [min], [max] and [compare] are
-# polymorphic: without flambda every call is a C compare, which once made
-# up most of the simulation time.  This guard fails, with file:line, when
-# one appears in lib/predict/*.ml, lib/sim/bep.ml or lib/sim/alpha.ml
-# (comments and string literals are ignored; [Int.min], [Int.max] and
-# [Int.compare] are fine).
+# The predictor kernels run once per simulated branch event, and the trace
+# replayer and the delta evaluator's substream loops once per executed
+# step, so they must stay on int comparisons.  Stdlib's bare [min], [max]
+# and [compare] are polymorphic: without flambda every call is a C
+# compare, which once made up most of the simulation time.  This guard
+# fails, with file:line, when one appears in lib/predict/*.ml,
+# lib/sim/bep.ml, lib/sim/alpha.ml, lib/trace/replay.ml, lib/delta/eval.ml
+# or lib/delta/stream.ml (comments and string literals are ignored;
+# [Int.min], [Int.max] and [Int.compare] are fine).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 status=0
-for f in lib/predict/*.ml lib/sim/bep.ml lib/sim/alpha.ml; do
+for f in lib/predict/*.ml lib/sim/bep.ml lib/sim/alpha.ml lib/trace/replay.ml \
+  lib/delta/eval.ml lib/delta/stream.ml; do
   # Blank out comments (nested) and string literals, keeping line numbers,
   # then report identifiers min/max/compare not qualified by a module.
   awk -v file="$f" '
@@ -45,6 +48,7 @@ for f in lib/predict/*.ml lib/sim/bep.ml lib/sim/alpha.ml; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "ok   no bare min/max/compare in lib/predict, lib/sim/bep.ml, lib/sim/alpha.ml"
+  echo "ok   no bare min/max/compare in lib/predict, lib/sim/{bep,alpha}.ml," \
+    "lib/trace/replay.ml, lib/delta/{eval,stream}.ml"
 fi
 exit $status

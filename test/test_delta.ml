@@ -47,23 +47,18 @@ let specs7 =
     Eval.Btb { entries = 256; assoc = 4 };
   |]
 
-(* The two extra dynamic predictors outside the harness seven. *)
-let specs9 =
-  Array.append specs7
-    [|
-      Eval.Pht_global { history_bits = 8 };
-      Eval.Pht_local { history_bits = 8; branch_entries = 64 };
-    |]
-
 (* Reference side: a full trace replay of the candidate layout, one Bep
    simulator per spec ([Eval.to_arch] builds each spec's architecture from
    the candidate image, likely bits included). *)
-let simulate_costs ~specs ~trace ~max_steps ~profile program decisions =
+let simulate_costs ?return_stack_depth ~specs ~trace ~max_steps ~profile
+    program decisions =
   let image = Ba_layout.Image.build ~profile program decisions in
   let archs =
     Array.to_list (Array.map (fun s -> Eval.to_arch s ~image ~profile) specs)
   in
-  let out = Ba_sim.Runner.simulate ~max_steps ~trace ~archs image in
+  let out =
+    Ba_sim.Runner.simulate ?return_stack_depth ~max_steps ~trace ~archs image
+  in
   Array.map (fun (_, sim) -> Ba_sim.Bep.bep sim) out.Ba_sim.Runner.sims
 
 (* Deterministic spread of at most [k] elements across the list. *)
@@ -184,9 +179,40 @@ let test_scoped_fallback () =
     "the swap forced the entry-scoped replay" true
     ((Eval.stats ev).Eval.cond_scoped > before)
 
+(* A return stack shallower than the run's call depth: pops can come back
+   wrong, so return mispredicts are priced by replaying the call/return
+   substream instead of counting underflows — and must still be exact. *)
+let test_shallow_return_stack () =
+  let ras_depth = 1 in
+  let program, profile, trace =
+    Ba_workloads.Profiled.get_traced ~max_steps:wall_steps
+      (Matrix.workload "gcc")
+  in
+  let decisions =
+    Ba_core.Align.align_program Ba_core.Align.Greedy
+      ~arch:Ba_core.Cost_model.Btfnt profile
+  in
+  let ev = Eval.create ~ras_depth ~specs:specs7 profile trace decisions in
+  let moves =
+    sample 5
+      (Move.enumerate
+         ~cond_counts:(fun p b -> Ba_cfg.Profile.cond_counts profile p b)
+         program decisions)
+  in
+  List.iter
+    (fun ds ->
+      check_costs ~what:"gcc, 1-entry return stack" ~specs:specs7
+        (simulate_costs ~return_stack_depth:ras_depth ~specs:specs7 ~trace
+           ~max_steps:wall_steps ~profile program ds)
+        (Eval.cost ev ds))
+    (decisions :: List.map (Move.apply decisions) moves);
+  Alcotest.(check bool)
+    "the call/return substream was replayed" true
+    ((Eval.stats ev).Eval.ras_substreams > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Random programs: the differential property on shapes the workloads do
-   not cover, all nine predictor specs at once. *)
+   not cover, all seven predictor specs at once. *)
 
 let test_qcheck_differential =
   QCheck.Test.make
@@ -202,7 +228,7 @@ let test_qcheck_differential =
         Ba_core.Align.align_program Ba_core.Align.Greedy
           ~arch:Ba_core.Cost_model.Btfnt profile
       in
-      let ev = Eval.create ~specs:specs9 profile trace decisions in
+      let ev = Eval.create ~specs:specs7 profile trace decisions in
       let moves =
         sample 4
           (Move.enumerate
@@ -214,7 +240,7 @@ let test_qcheck_differential =
           let moved = Move.apply decisions mv in
           let got = Eval.cost ev moved in
           let want =
-            simulate_costs ~specs:specs9 ~trace ~max_steps:qcheck_steps
+            simulate_costs ~specs:specs7 ~trace ~max_steps:qcheck_steps
               ~profile program moved
           in
           Array.for_all Fun.id
@@ -225,7 +251,7 @@ let test_qcheck_differential =
                    QCheck.Test.fail_reportf
                      "%a [%s]: delta %d, full replay %d (qcheck seed %d)"
                      Move.pp mv
-                     (Eval.spec_label specs9.(i))
+                     (Eval.spec_label specs7.(i))
                      got.(i) w qcheck_seed)
                want))
         moves)
@@ -462,6 +488,8 @@ let suites =
           test_differential_wall;
         Alcotest.test_case "set-boundary swap forces scoped replay" `Quick
           test_scoped_fallback;
+        Alcotest.test_case "shallow return stack replays calls and returns"
+          `Quick test_shallow_return_stack;
         to_alcotest test_qcheck_differential;
       ] );
     ( "delta.algebra",
