@@ -269,10 +269,20 @@ let trace_record_cmd name path max_steps =
     (Ba_util.Ascii_table.int_cell (Ba_trace.Trace.byte_size trace))
     path
 
+(* A corrupt trace is a one-line error: [Trace.load] rejects what the format
+   can check, and replay the rest (steps past its decisions, bad choices). *)
 let trace_replay_cmd name path algo arch =
+  let corrupt msg =
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 1
+  in
   let workload = lookup name in
   let program = workload.Ba_workloads.Spec.build () in
-  let { Ba_trace.Trace.seed; max_steps; trace } = Ba_trace.Trace.load ~path in
+  let { Ba_trace.Trace.seed; max_steps; trace } =
+    try Ba_trace.Trace.load ~path with
+    | Failure msg -> corrupt msg
+    | Sys_error msg -> prerr_endline msg; exit 1
+  in
   if seed <> program.Ba_ir.Program.seed then begin
     Printf.eprintf
       "trace %s was recorded for a program with seed %d, but workload %s has \
@@ -290,7 +300,10 @@ let trace_replay_cmd name path algo arch =
       Query.image algo ~arch profile
   in
   (* No profile for --algo orig, so no LIKELY bits: the profile-free list. *)
-  let out = Ba_sim.Runner.simulate ~trace ~archs:Query.replay_archs image in
+  let out =
+    try Ba_sim.Runner.simulate ~trace ~archs:Query.replay_archs image
+    with Failure msg | Invalid_argument msg -> corrupt ("trace does not replay: " ^ msg)
+  in
   Printf.printf
     "replayed %s steps from %s through %s (algorithm %s): %s branch events in \
      %s instructions\n\n"

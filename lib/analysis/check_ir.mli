@@ -16,9 +16,7 @@
     [ir/jump-cycle], [ir/cond-constant], [ir/dangling-callee],
     [ir/halt-outside-main], [ir/unreachable-proc]. *)
 
-val check_proc : proc_id:Ba_ir.Term.proc_id -> Ba_ir.Proc.t -> Diagnostic.t list
-(** Intra-procedural rules only. *)
-
 val check_program : Ba_ir.Program.t -> Diagnostic.t list
-(** {!check_proc} on every procedure plus the inter-procedural rules
-    (dangling callees, [Halt] outside main, call-graph reachability). *)
+(** The intra-procedural rules on every procedure plus the
+    inter-procedural rules (dangling callees, [Halt] outside main,
+    call-graph reachability). *)

@@ -33,7 +33,6 @@ val make :
 (** [make Error ~rule ~loc fmt ...] builds a diagnostic with a formatted
     message. *)
 
-val severity_name : severity -> string
 val is_error : t -> bool
 
 val count : t list -> int * int * int
@@ -44,14 +43,11 @@ val sort : t list -> t list
     severity, by location (program, then procedure id, then block/position),
     then rule id. *)
 
-val pp_location : Format.formatter -> location -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_row : t -> string list
 (** [[severity; rule; location; message]] — one table row for
     {!Ba_util.Ascii_table.render}. *)
-
-val location_to_json : location -> Ba_util.Json.t
 
 val to_json : t -> Ba_util.Json.t
 (** Machine-readable form, shared by [lint --format=json] and

@@ -57,10 +57,9 @@ let cond_identity ~mf ~mp ~w_t ~w_f (m : Domain.interval) =
   let hi = (mf * w_t) + (mp * on_fall) + ((mp - mf) * (m_hi - on_fall)) in
   Domain.make lo hi
 
-let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
-    ~arch ~profile image =
+let analyze ~arch ~profile image =
   Ba_obs.Span.with_ "bound" @@ fun () ->
-  let mf = penalties.Bep.misfetch and mp = penalties.Bep.mispredict in
+  let mf = Bep.misfetch_cycles and mp = Bep.mispredict_cycles in
   let summary = Site.extract ~profile image in
   let bases = image.Image.bases in
   let main = image.Image.program.Ba_ir.Program.main in
@@ -77,7 +76,7 @@ let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
      exactly correct and main's final return pops an empty stack. *)
   let ras_exact =
     match summary.Site.ras_bound with
-    | Some b -> b <= return_stack_depth
+    | Some b -> b <= Bep.default_return_stack_depth
     | None -> false
   in
   (* BTB sets that can never evict: at most [assoc] allocating sites map
@@ -238,5 +237,4 @@ let analyze ?(penalties = Bep.default_penalties) ?(return_stack_depth = 32)
   Ba_obs.Counter.add m_upper total.Domain.hi;
   { arch; rows; extra_lo; total }
 
-let bounds ?penalties ?return_stack_depth ~arch ~profile image =
-  (analyze ?penalties ?return_stack_depth ~arch ~profile image).total
+let bounds ~arch ~profile image = (analyze ~arch ~profile image).total

@@ -51,8 +51,6 @@ type t = {
 }
 
 val analyze :
-  ?penalties:Ba_sim.Bep.penalties ->
-  ?return_stack_depth:int ->
   arch:Ba_sim.Bep.arch ->
   profile:Ba_cfg.Profile.t ->
   Ba_layout.Image.t ->
@@ -61,8 +59,6 @@ val analyze :
     same image ({!Ba_predict.Likely_bits.build}), as the harness does. *)
 
 val bounds :
-  ?penalties:Ba_sim.Bep.penalties ->
-  ?return_stack_depth:int ->
   arch:Ba_sim.Bep.arch ->
   profile:Ba_cfg.Profile.t ->
   Ba_layout.Image.t ->

@@ -101,4 +101,3 @@ let merge = function
       all;
     out
 
-let scale_to_float = float_of_int

@@ -58,6 +58,3 @@ val merge : t list -> t
     §4: "If more profiles are used or combined for a program ...") by
     summing all counters.  Raises [Invalid_argument] on an empty list or on
     profiles of different programs. *)
-
-val scale_to_float : int -> float
-(** Convenience conversion used by cost models. *)

@@ -3,9 +3,8 @@
     Every rule is {!Ba_analysis.Diagnostic.Info}: a conflict is a
     performance fact about a layout, not a correctness defect.  To keep
     the lint signal readable, indexed-structure rules fire only on
-    conflicts whose weight is at least {!hot_fraction} of the structure's
-    total weight ("hot" conflicts); the [analyze] subcommand reports the
-    full list.
+    conflicts whose weight is at least 5% of the structure's total weight
+    ("hot" conflicts); the [analyze] subcommand reports the full list.
 
     Rules:
     - [conflict/pht-hot-pair] — a PHT counter or local-history register
@@ -21,10 +20,6 @@
       conditionals from distinct cache lines, which refill over each
       other's history bits. *)
 
-val hot_fraction : float
-(** Weight fraction (of the structure's total) a conflict must reach to
-    produce a diagnostic: 0.05. *)
-
 val check :
   ?suite:Structure.t list ->
   profile:Ba_cfg.Profile.t ->
@@ -32,7 +27,3 @@ val check :
   Ba_analysis.Diagnostic.t list
 (** Analyze the image and convert hot conflicts to diagnostics, in
     {!Ba_analysis.Diagnostic.sort} order. *)
-
-val of_reports :
-  Ba_ir.Program.t -> Analyze.report list -> Ba_analysis.Diagnostic.t list
-(** The conversion alone, for callers that already ran {!Analyze}. *)

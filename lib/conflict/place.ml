@@ -22,13 +22,12 @@ let objective_of ~suite ~profile image =
    procedure, each swap re-priced over its three-position window — which
    is bit-equal to [Ba_core.Layout_cost.branch_cost] of a fresh lowering
    (the "total/preview bit-equal to fresh lowering" wall in
-   [test_delta.ml] pins this). *)
-let swap_pass ~suite ~arch ~build ~profile program decisions =
+   [test_delta.ml] pins this).  [before] is the objective of [decisions]
+   as given; the count of kept swaps is returned. *)
+let swap_pass ~suite ~arch ~profile ~before program decisions =
   let n = Program.n_procs program in
   let swaps = ref 0 in
-  let current_obj =
-    ref (objective_of ~suite ~profile (build ?pads:None decisions))
-  in
+  let current_obj = ref before in
   for p = 0 to n - 1 do
     let len = Proc.n_blocks (Program.proc program p) in
     if len > 2 then begin
@@ -44,7 +43,9 @@ let swap_pass ~suite ~arch ~build ~profile program decisions =
         then begin
           let saved = decisions.(p) in
           decisions.(p) <- Decision.swap_positions decisions.(p) pos (pos + 1);
-          let obj = objective_of ~suite ~profile (build ?pads:None decisions) in
+          let obj =
+            objective_of ~suite ~profile (Image.build ~profile program decisions)
+          in
           if obj < !current_obj then begin
             current_obj := obj;
             incr swaps;
@@ -55,44 +56,33 @@ let swap_pass ~suite ~arch ~build ~profile program decisions =
       done
     end
   done;
-  (!current_obj, !swaps)
+  !swaps
 
 (* Greedy pad sweep: procedures in order, each pad chosen to minimise the
    objective given the pads already fixed; ties keep the smaller pad, so a
-   layout with nothing to gain keeps all-zero pads.
+   layout with nothing to gain keeps all-zero pads.  A pad shifts a
+   procedure's whole body with its base, so the site summary is extracted
+   once and only the bases recomputed per candidate pad. *)
+let max_pad = 32
 
-   The classic layout shifts a procedure's whole body with its base, so
-   the site summary is extracted once and only the bases recomputed per
-   candidate pad.  A stitched image has no such shortcut — a pad moves the
-   hot region, the cold section, and everything placed after either — so
-   the interproc path rebuilds the image per candidate (programs are small
-   enough that the exact sweep stays cheap). *)
-let pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions =
+let pad_sweep ~suite ~profile program decisions =
   let n = Program.n_procs program in
   let pads = Array.make n 0 in
-  let objective =
-    if interproc then fun pads ->
-      objective_of ~suite ~profile (build ?pads:(Some pads) decisions)
-    else begin
-      let image = build ?pads:None decisions in
-      let summary = Site.extract ~profile image in
-      let sizes =
-        Array.map (fun linear -> Linear.code_size linear) image.Image.linears
-      in
-      let bases_for pads =
-        let bases = Array.make n 0 in
-        let addr = ref 0 in
-        for p = 0 to n - 1 do
-          addr := !addr + pads.(p);
-          bases.(p) <- !addr;
-          addr := !addr + sizes.(p)
-        done;
-        bases
-      in
-      fun pads ->
-        Analyze.objective
-          (Analyze.of_summary ~suite ~bases:(bases_for pads) summary)
-    end
+  let image = Image.build ~profile program decisions in
+  let summary = Site.extract ~profile image in
+  let sizes = Array.map (fun linear -> Linear.code_size linear) image.Image.linears in
+  let bases_for pads =
+    let bases = Array.make n 0 in
+    let addr = ref 0 in
+    for p = 0 to n - 1 do
+      addr := !addr + pads.(p);
+      bases.(p) <- !addr;
+      addr := !addr + sizes.(p)
+    done;
+    bases
+  in
+  let objective pads =
+    Analyze.objective (Analyze.of_summary ~suite ~bases:(bases_for pads) summary)
   in
   for p = 0 to n - 1 do
     let best_pad = ref 0 and best_obj = ref (objective pads) in
@@ -109,20 +99,14 @@ let pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions =
   pads
 
 let improve ?(suite = Structure.placement_suite)
-    ?(arch = Ba_core.Cost_model.Btfnt) ?(max_pad = 32) ?(interproc = false)
-    ~profile program decisions =
+    ?(arch = Ba_core.Cost_model.Btfnt) ~profile program decisions =
   Ba_obs.Span.with_ "place" @@ fun () ->
   if Array.length decisions <> Program.n_procs program then
     invalid_arg "Place.improve: one decision per procedure required";
   let decisions = Array.copy decisions in
-  let build ?pads decisions =
-    if interproc then
-      (Image.build_interproc ?pads ~profile program decisions).Image.image
-    else Image.build ?pads ~profile program decisions
-  in
-  let before = objective_of ~suite ~profile (build ?pads:None decisions) in
-  let _, swaps = swap_pass ~suite ~arch ~build ~profile program decisions in
-  let pads = pad_sweep ~suite ~max_pad ~interproc ~build ~profile program decisions in
-  let image = build ~pads decisions in
+  let before = objective_of ~suite ~profile (Image.build ~profile program decisions) in
+  let swaps = swap_pass ~suite ~arch ~profile ~before program decisions in
+  let pads = pad_sweep ~suite ~profile program decisions in
+  let image = Image.build ~pads ~profile program decisions in
   let after = objective_of ~suite ~profile image in
   { image; decisions; pads; before; after; swaps }

@@ -93,14 +93,12 @@ let align_proc algo ?strategy ?(arch = Cost_model.Btfnt) ?table ?min_weight
       end
       else decision)
 
-let align_program algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile =
+let align_program algo ?strategy ?arch ?table ?refine_rounds profile =
   let program = Ba_cfg.Profile.program profile in
   Array.init (Ba_ir.Program.n_procs program) (fun pid ->
-      align_proc algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile pid)
+      align_proc algo ?strategy ?arch ?table ?refine_rounds profile pid)
 
-let image algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile =
+let image algo ?strategy ?arch ?table ?refine_rounds profile =
   let program = Ba_cfg.Profile.program profile in
-  let decisions =
-    align_program algo ?strategy ?arch ?table ?min_weight ?refine_rounds profile
-  in
+  let decisions = align_program algo ?strategy ?arch ?table ?refine_rounds profile in
   Ba_layout.Image.build ~profile program decisions

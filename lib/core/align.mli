@@ -49,7 +49,6 @@ val align_program :
   ?strategy:Ba_layout.Chain_order.strategy ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
-  ?min_weight:int ->
   ?refine_rounds:int ->
   Ba_cfg.Profile.t ->
   Ba_layout.Decision.t array
@@ -59,7 +58,6 @@ val image :
   ?strategy:Ba_layout.Chain_order.strategy ->
   ?arch:Cost_model.arch ->
   ?table:Cost_model.table ->
-  ?min_weight:int ->
   ?refine_rounds:int ->
   Ba_cfg.Profile.t ->
   Ba_layout.Image.t

@@ -36,11 +36,10 @@ end
 
 let default_sweeps = 8
 
-let align_proc ?(seed = 0) ?(sweeps = default_sweeps) ~arch
-    ?(table = Cost_model.default_table) profile pid =
+let align_proc ?(seed = 0) ?(sweeps = default_sweeps) ~arch profile pid =
   let program = Ba_cfg.Profile.program profile in
   let proc = Ba_ir.Program.proc program pid in
-  let start = Align.align_proc Align.Greedy ~arch ~table profile pid in
+  let start = Align.align_proc Align.Greedy ~arch profile pid in
   let n = Ba_ir.Proc.n_blocks proc in
   let conds =
     Array.of_list
@@ -55,7 +54,7 @@ let align_proc ?(seed = 0) ?(sweeps = default_sweeps) ~arch
   else begin
     let visits b = Ba_cfg.Profile.visits profile pid b in
     let cond_counts b = Ba_cfg.Profile.cond_counts profile pid b in
-    let model = Model.create ~arch ~table ~visits ~cond_counts proc start in
+    let model = Model.create ~arch ~visits ~cond_counts proc start in
     (* one independent stream per (seed, procedure): procedure order and
        scheduling cannot perturb each other's walks *)
     let rng = Rng.create ((seed * 0x1000193) lxor (pid * 0x01000193) lxor 0x5DEECE66) in
@@ -97,11 +96,11 @@ let align_proc ?(seed = 0) ?(sweeps = default_sweeps) ~arch
     !best
   end
 
-let align_program ?seed ?sweeps ~arch ?table profile =
+let align_program ?seed ?sweeps ~arch profile =
   let program = Ba_cfg.Profile.program profile in
   Array.init (Ba_ir.Program.n_procs program) (fun pid ->
-      align_proc ?seed ?sweeps ~arch ?table profile pid)
+      align_proc ?seed ?sweeps ~arch profile pid)
 
-let image ?seed ?sweeps ~arch ?table profile =
+let image ?seed ?sweeps ~arch profile =
   let program = Ba_cfg.Profile.program profile in
-  Image.build ~profile program (align_program ?seed ?sweeps ~arch ?table profile)
+  Image.build ~profile program (align_program ?seed ?sweeps ~arch profile)

@@ -85,10 +85,8 @@ type t = {
   trace : Trace.t;
   profile : Ba_cfg.Profile.t;
   specs : spec array;
-  penalties : Bep.penalties;
   ras_depth : int;
   ras_risky : bool;  (* deeper calls than the stack: pops can be wrong *)
-  scoped_max : int;
   base_geom : geom;
   base_cond : int array;  (* cached cond penalty per table spec, else 0 *)
   stats : stats;
@@ -224,7 +222,6 @@ let rule_cond_counts t geom spec =
 (* Full conditional-substream replay against a real predictor's [step]. *)
 let replay_cond t geom ~step =
   let fl = geom.flat in
-  let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
   let pen = ref 0 in
   Array.iter
     (fun cr ->
@@ -234,9 +231,9 @@ let replay_cond t geom ~step =
       let pc = geom.bpc.(s) in
       let predicted = step ~pc ~taken in
       if predicted = taken then begin
-        if taken then pen := !pen + mfp
+        if taken then pen := !pen + Bep.misfetch_cycles
       end
-      else pen := !pen + mpp)
+      else pen := !pen + Bep.mispredict_cycles)
     t.stream.Stream.cond_recs;
   !pen
 
@@ -278,7 +275,7 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
   let base_t = Array.make entries Counter2.initial in
   let cand_t = Array.make entries Counter2.initial in
   let bfl = t.base_geom.flat and fl = geom.flat in
-  let mfp = t.penalties.Bep.misfetch and mpp = t.penalties.Bep.mispredict in
+  let mfp = Bep.misfetch_cycles and mpp = Bep.mispredict_cycles in
   let base_pen = ref 0 and cand_pen = ref 0 in
   Array.iter
     (fun cr ->
@@ -310,9 +307,11 @@ let scoped_direct_penalty t geom ~entries changed cached_base =
   cached_base - !base_pen + !cand_pen
 
 (* The cached base is exact when no executed conditional changed.  A
-   direct PHT with few changed sites takes the entry-scoped replay; for
-   gshare a single pc change perturbs the shared history of every later
-   access, so it is all or nothing. *)
+   direct PHT with at most [scoped_max] changed sites takes the
+   entry-scoped replay; for gshare a single pc change perturbs the shared
+   history of every later access, so it is all or nothing. *)
+let scoped_max = 32
+
 let table_cond_penalty t geom ix spec =
   let cached = t.base_cond.(ix) in
   match (spec, changed_conds t geom) with
@@ -320,7 +319,7 @@ let table_cond_penalty t geom ix spec =
     t.stats.cond_cached <- t.stats.cond_cached + 1;
     cached
   | Pht_direct { entries }, changed
-    when List.compare_length_with changed t.scoped_max <= 0 ->
+    when List.compare_length_with changed scoped_max <= 0 ->
     t.stats.cond_scoped <- t.stats.cond_scoped + 1;
     scoped_direct_penalty t geom ~entries changed cached
   | _ ->
@@ -331,9 +330,7 @@ let table_cond_penalty t geom ix spec =
    [Bep.t]. *)
 let btb_penalty t geom arch =
   t.stats.machine_runs <- t.stats.machine_runs + 1;
-  let sim =
-    Bep.create ~penalties:t.penalties ~return_stack_depth:t.ras_depth arch
-  in
+  let sim = Bep.create ~return_stack_depth:t.ras_depth arch in
   ignore
     (Replay.run ~on_event:(Bep.on_event sim) geom.flat t.trace
       : Ba_exec.Engine.result);
@@ -346,16 +343,15 @@ let cost_spec t geom ~noncond ~ret_mp ix spec =
     t.stats.closed_form <- t.stats.closed_form + 1;
     let mf0, mp0 = Lazy.force noncond in
     let mf1, mp1 = rule_cond_counts t geom spec in
-    ((mf0 + mf1) * t.penalties.Bep.misfetch)
-    + ((mp0 + mp1 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
+    ((mf0 + mf1) * Bep.misfetch_cycles)
+    + ((mp0 + mp1 + Lazy.force ret_mp) * Bep.mispredict_cycles)
   | Pht_direct _ | Pht_gshare _ ->
     let mf0, mp0 = Lazy.force noncond in
-    (mf0 * t.penalties.Bep.misfetch)
-    + ((mp0 + Lazy.force ret_mp) * t.penalties.Bep.mispredict)
+    (mf0 * Bep.misfetch_cycles)
+    + ((mp0 + Lazy.force ret_mp) * Bep.mispredict_cycles)
     + table_cond_penalty t geom ix spec
 
-let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
-    ?(scoped_max = 32) ~specs profile trace base =
+let create ?(ras_depth = Bep.default_return_stack_depth) ~specs profile trace base =
   let program = Ba_cfg.Profile.program profile in
   let stream = Stream.build program trace in
   let stats =
@@ -375,10 +371,8 @@ let create ?(penalties = Bep.default_penalties) ?(ras_depth = 32)
       trace;
       profile;
       specs = Array.copy specs;
-      penalties;
       ras_depth;
       ras_risky = stream.Stream.max_depth > ras_depth;
-      scoped_max;
       base_geom;
       base_cond = Array.make (Array.length specs) 0;
       stats;

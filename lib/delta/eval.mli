@@ -49,9 +49,7 @@ type stats = {
 type t
 
 val create :
-  ?penalties:Ba_sim.Bep.penalties ->
   ?ras_depth:int ->
-  ?scoped_max:int ->
   specs:spec array ->
   Ba_cfg.Profile.t ->
   Ba_trace.Trace.t ->
@@ -60,9 +58,11 @@ val create :
 (** [create ~specs profile trace base] walks the trace once
     ({!Stream.build}), keeps it for the BTB replays, and prices the base
     layout's conditional substreams so later candidates near [base] hit
-    the cached paths.  Defaults: the paper's
-    penalties (1/4), a 32-entry return stack, and entry-scoped direct-PHT
-    replay for at most [scoped_max = 32] changed sites. *)
+    the cached paths.  Candidates are priced at the paper's penalties
+    ({!Ba_sim.Bep.misfetch_cycles}, {!Ba_sim.Bep.mispredict_cycles}) with
+    a [ras_depth]-entry return stack (default
+    {!Ba_sim.Bep.default_return_stack_depth}); a direct PHT takes the
+    entry-scoped replay when at most 32 executed conditionals changed. *)
 
 val stats : t -> stats
 

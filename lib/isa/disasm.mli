@@ -9,8 +9,6 @@
 
 val proc_listing : Codegen.listing -> Ba_ir.Term.proc_id -> string
 
-val program_listing : Codegen.listing -> string
-
 val side_by_side :
   original:Codegen.listing -> aligned:Codegen.listing -> Ba_ir.Term.proc_id -> string
 (** Two-column original-vs-aligned listing of one procedure. *)

@@ -124,37 +124,24 @@ let stitch_order profile program =
   Array.of_list (List.concat_map (fun c -> !(members.(c))) (chain_of.(0) :: rest))
 
 (* The first layout position of the procedure's cold suffix (its block
-   count when nothing is cold): the longest all-cold tail that keeps the
+   count when nothing is cold): the longest never-visited tail that keeps the
    entry hot and is only entered through an explicit transfer — the block
    before the split must not fall through, or the gap would break the
    control flow the addresses describe. *)
-let split_point profile ~cold_threshold p (linear : Linear.t) =
+let split_point profile p (linear : Linear.t) =
   let blocks = linear.Linear.blocks in
   let n = Array.length blocks in
-  let cold i =
-    Ba_cfg.Profile.visits profile p blocks.(i).Linear.src <= cold_threshold
-  in
+  let cold i = Ba_cfg.Profile.visits profile p blocks.(i).Linear.src = 0 in
   let s = ref n in
   while !s > 1 && cold (!s - 1) do decr s done;
   while !s < n && Linear.falls_through blocks.(!s - 1) do incr s done;
   !s
 
-let build_interproc ?pads ?(cold_threshold = 0) ~profile program decisions =
+let build_interproc ~profile program decisions =
   Ba_obs.Span.with_ "lower" @@ fun () ->
   let n = Ba_ir.Program.n_procs program in
   if Array.length decisions <> n then
     invalid_arg "Image.build_interproc: one decision per procedure required";
-  (match pads with
-  | Some pads ->
-    if Array.length pads <> n then
-      invalid_arg "Image.build_interproc: one pad per procedure required";
-    Array.iter
-      (fun pad ->
-        if pad < 0 then invalid_arg "Image.build_interproc: negative pad")
-      pads
-  | None -> ());
-  if cold_threshold < 0 then
-    invalid_arg "Image.build_interproc: negative cold threshold";
   let linears =
     Array.init n (fun p ->
         let proc = Ba_ir.Program.proc program p in
@@ -163,20 +150,16 @@ let build_interproc ?pads ?(cold_threshold = 0) ~profile program decisions =
           proc decisions.(p))
   in
   let proc_order = stitch_order profile program in
-  let splits =
-    Array.init n (fun p -> split_point profile ~cold_threshold p linears.(p))
-  in
-  (* Hot prefixes in stitched order (with the pads), then every cold
-     suffix in the same order in one trailing cold section.  Addresses
-     stay strictly increasing with layout position inside each procedure,
-     so the positional taken-branch direction the cost model and the
-     bisimulation use agrees with the address direction the predictors
-     see. *)
+  let splits = Array.init n (fun p -> split_point profile p linears.(p)) in
+  (* Hot prefixes in stitched order, then every cold suffix in the same
+     order in one trailing cold section.  Addresses stay strictly
+     increasing with layout position inside each procedure, so the
+     positional taken-branch direction the cost model and the bisimulation
+     use agrees with the address direction the predictors see. *)
   let bases = Array.make n 0 in
   let addr = ref 0 in
   Array.iter
     (fun p ->
-      (match pads with Some pads -> addr := !addr + pads.(p) | None -> ());
       bases.(p) <- !addr;
       let blocks = linears.(p).Linear.blocks in
       for i = 0 to splits.(p) - 1 do

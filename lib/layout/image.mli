@@ -36,21 +36,18 @@ type interproc = {
       (** per-procedure first cold layout position; the procedure's block
           count when nothing was split *)
   hot_size : int;
-      (** address where the trailing cold section begins (pads included) *)
+      (** address where the trailing cold section begins *)
 }
 
 val build_interproc :
-  ?pads:int array ->
-  ?cold_threshold:int ->
   profile:Ba_cfg.Profile.t ->
   Ba_ir.Program.t ->
   Decision.t array ->
   interproc
 (** Inter-procedural layout (Codestitcher-style): procedures are chained
     along their heaviest call edges so hot callees land right after their
-    hot callers (the entry procedure first), and each procedure's all-cold
-    layout suffix — blocks visited at most [cold_threshold] times
-    (default 0) — is moved to one trailing cold section.
+    hot callers (the entry procedure first), and each procedure's
+    never-visited layout suffix is moved to one trailing cold section.
 
     Decisions are untouched: every procedure keeps its block permutation,
     so lowering, per-procedure costs and the bisimulation witness are the
@@ -61,11 +58,8 @@ val build_interproc :
     suffix is only split off after a block that does not fall through
     ({!Linear.falls_through}), keeping the address map honest about
     reachability; the splitter shrinks the suffix until that holds.
-
-    [pads], as in {!build}, inserts unused slots before each procedure's
-    hot region (in placement order) — the same mechanism conflict-aware
-    placement uses.  Raises [Invalid_argument] on the same conditions as
-    {!build} plus a negative [cold_threshold]. *)
+    Raises [Invalid_argument] if the decision array length does not
+    match or any decision is invalid. *)
 
 val original : ?profile:Ba_cfg.Profile.t -> Ba_ir.Program.t -> t
 (** The identity layout of every procedure — the "Orig" rows of the paper's

@@ -38,11 +38,6 @@ type lblock = {
 
 type t = { proc : Ba_ir.Proc.t; decision : Decision.t; blocks : lblock array }
 
-val term_insns : lterm -> int
-(** Branch instructions a terminator contributes to its layout block (0 for
-    pure fall-through, 2 for a conditional with an inserted jump or a call
-    with a continuation jump, 1 otherwise). *)
-
 val block_size : lblock -> int
 (** Total instructions the layout block occupies, branch instruction(s)
     included. *)

@@ -24,11 +24,9 @@ val make :
 
 val tasks : t -> int
 
-val total_task_seconds : t -> float
-(** Sum of per-task times — the sequential-equivalent work. *)
-
 val speedup : t -> float
-(** [total_task_seconds / wall_seconds]; 0 when the wall time is 0. *)
+(** Sum of per-task times (the sequential-equivalent work) over
+    [wall_seconds]; 0 when the wall time is 0. *)
 
 val render : t -> string
 (** Human-readable ASCII table: one row per task plus a summary line. *)

@@ -32,9 +32,6 @@ val update : t -> pc:int -> taken:bool -> unit
 val line_no_of : insns_per_line:int -> pc:int -> int
 (** Cache line number (also the line's tag) of an instruction address. *)
 
-val slot_of : insns_per_line:int -> pc:int -> int
-(** History-bit slot of [pc] within its line. *)
-
 val line_index : lines:int -> line_no:int -> int
 (** Which stored line a line number maps to ([lines] is a power of two);
     distinct line numbers with equal indices evict each other's bits. *)

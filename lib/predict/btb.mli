@@ -47,9 +47,6 @@ val assoc : t -> int
 val set_index : entries:int -> assoc:int -> pc:int -> int
 (** Set the branch at [pc] maps to: its address's low set bits. *)
 
-val tag_of : pc:int -> int
-(** Tag stored and compared for [pc]: the full branch address. *)
-
 val occupancy : t -> int
 (** Number of valid entries; alignment reduces this by making branches fall
     through (the paper's explanation of the small-BTB benefit). *)

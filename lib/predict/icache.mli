@@ -23,8 +23,6 @@ val misses : t -> int
 val accesses : t -> int
 (** Cumulative line accesses/misses since creation. *)
 
-val miss_rate : t -> float
-
 (** {1 Pure indexing}
 
     Address-to-line/set functions, factored out so static conflict analysis

@@ -4,7 +4,7 @@
 
 type t = { fd : Unix.file_descr }
 
-let connect ?(retries = 40) path =
+let connect path =
   let rec attempt n =
     let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -20,7 +20,7 @@ let connect ?(retries = 40) path =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
   in
-  attempt retries
+  attempt 40
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

@@ -7,9 +7,9 @@
 
 type t
 
-val connect : ?retries:int -> string -> t
-(** Connect to a server socket, retrying [retries] times (50 ms apart,
-    default 40) while the path does not accept yet — covers the window
+val connect : string -> t
+(** Connect to a server socket, retrying up to 40 times (50 ms apart)
+    while the path does not accept yet — covers the window
     between {!Server.start} and a forked CLI server actually listening. *)
 
 val close : t -> unit

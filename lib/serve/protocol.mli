@@ -21,7 +21,6 @@ val max_frame_bytes : int
 type kind = Ping | Align | Simulate | Verify | Analyze | Tables | Metrics
 
 val kind_name : kind -> string
-val kind_of_name : string -> (kind, string) result
 
 type request = {
   id : int;
@@ -74,6 +73,4 @@ val read_frame : Unix.file_descr -> string option
 (** [None] on a clean EOF at a frame boundary; raises [End_of_file] on a
     truncated frame and [Failure] on an oversized one. *)
 
-val write_frame : Unix.file_descr -> string -> unit
-val write_response : Unix.file_descr -> response -> unit
 val write_request : Unix.file_descr -> request -> unit

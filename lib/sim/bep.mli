@@ -11,7 +11,9 @@
       unconditional/call BTB misses cost a misfetch; wrong directions or
       targets cost a mispredict.
 
-    Every architecture shares a 32-entry return stack (configurable). *)
+    A misfetch costs {!misfetch_cycles} and a mispredict {!mispredict_cycles}
+    (the paper's §6 numbers); every architecture shares one return stack of
+    {!default_return_stack_depth} entries unless {!create} says otherwise. *)
 
 type arch =
   | Static_fallthrough
@@ -28,10 +30,14 @@ type arch =
 
 val arch_label : arch -> string
 
-type penalties = { misfetch : int; mispredict : int }
+val misfetch_cycles : int
+(** 1 — the paper's simulation cost of a misfetch (§6). *)
 
-val default_penalties : penalties
-(** misfetch 1, mispredict 4 — the paper's simulation numbers. *)
+val mispredict_cycles : int
+(** 4 — the paper's simulation cost of a mispredict (§6). *)
+
+val default_return_stack_depth : int
+(** 32 — the return-stack depth of every default simulation. *)
 
 type counts = {
   mutable misfetches : int;
@@ -48,7 +54,7 @@ type counts = {
 
 type t
 
-val create : ?penalties:penalties -> ?return_stack_depth:int -> arch -> t
+val create : ?return_stack_depth:int -> arch -> t
 val on_event : t -> Ba_exec.Event.t -> unit
 val counts : t -> counts
 (** The live books (mutated by {!on_event}); read them when the event

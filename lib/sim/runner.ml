@@ -4,11 +4,11 @@ type outcome = {
   stats : Ba_exec.Trace_stats.t;
 }
 
-let simulate ?max_steps ?penalties ?return_stack_depth ?trace ~archs image =
+let simulate ?max_steps ?return_stack_depth ?trace ~archs image =
   Ba_obs.Span.with_ "simulate" @@ fun () ->
   let sims =
     Array.of_list
-      (List.map (fun arch -> (arch, Bep.create ?penalties ?return_stack_depth arch)) archs)
+      (List.map (fun arch -> (arch, Bep.create ?return_stack_depth arch)) archs)
   in
   let n = Array.length sims in
   let stats = Ba_exec.Trace_stats.create () in

@@ -1,7 +1,7 @@
-let run ?on_event ?on_block ?profile ?max_steps image =
+let run ?profile ?max_steps image =
   let b = Trace.Builder.create () in
   let result =
-    Ba_exec.Engine.run ?on_event ?on_block ?profile ?max_steps
+    Ba_exec.Engine.run ?profile ?max_steps
       ~on_outcome:(Trace.Builder.add_outcome b)
       ~on_choice:(Trace.Builder.add_choice b) image
   in

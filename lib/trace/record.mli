@@ -5,14 +5,12 @@
     many" workflow.  Everything downstream then replays. *)
 
 val run :
-  ?on_event:(Ba_exec.Event.t -> unit) ->
-  ?on_block:(addr:int -> size:int -> unit) ->
   ?profile:Ba_cfg.Profile.t ->
   ?max_steps:int ->
   Ba_layout.Image.t ->
   Ba_exec.Engine.result * Trace.t
 (** {!Ba_exec.Engine.run} with the decision hooks wired into a
-    {!Trace.Builder}; all other callbacks pass through. *)
+    {!Trace.Builder}, filling [profile] when given. *)
 
 val profile_and_record :
   ?max_steps:int -> Ba_ir.Program.t -> Ba_cfg.Profile.t * Trace.t

@@ -44,10 +44,14 @@ let write_varint oc n =
   in
   go n
 
+(* At most 9 bytes: the ninth carries the top 6 bits of a nonnegative
+   int and no continuation bit, so a longer run (or a larger value) is a
+   corrupt file, never an overflowed int. *)
 let read_varint ic =
   let rec go shift acc =
     match input_byte ic with
     | b ->
+      if shift = 56 && b > 0x3F then failwith "Trace.load: varint too long";
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     | exception End_of_file -> failwith "Trace.load: truncated varint"
@@ -153,14 +157,30 @@ let load ~path =
         | _ -> failwith "Trace.load: bad completed flag"
         | exception End_of_file -> failwith "Trace.load: truncated file"
       in
+      (* A stream grows only as its bytes arrive (64 KiB at a time), so a
+         corrupt length cannot allocate more than the file holds. *)
+      let stream what len =
+        let b = Buffer.create (min len 65536) in
+        let rec go rem =
+          let k = min rem 65536 in
+          (try Buffer.add_channel b ic k
+           with End_of_file -> failwith ("Trace.load: truncated " ^ what ^ " stream"));
+          if rem > k then go (rem - k)
+        in
+        go len;
+        Buffer.to_bytes b
+      in
       let n_conds = v () in
-      let conds_len = v () in
-      let conds = Bytes.create conds_len in
-      (try really_input ic conds 0 conds_len
-       with End_of_file -> failwith "Trace.load: truncated cond stream");
+      let conds = stream "cond" (v ()) in
+      (* the builder packs eight outcomes per byte *)
+      if Bytes.length conds <> (n_conds + 7) / 8 then
+        failwith "Trace.load: cond count does not match its stream";
       let n_choices = v () in
-      let choices_len = v () in
-      let choices = Bytes.create choices_len in
-      (try really_input ic choices 0 choices_len
-       with End_of_file -> failwith "Trace.load: truncated choice stream");
+      let choices = stream "choice" (v ()) in
+      (* every choice takes at least one varint byte *)
+      if n_choices > Bytes.length choices then
+        failwith "Trace.load: choice count exceeds its stream";
+      (match input_byte ic with
+      | _ -> failwith "Trace.load: trailing bytes"
+      | exception End_of_file -> ());
       { seed; max_steps; trace = { steps; completed; n_conds; conds; n_choices; choices } })

@@ -72,4 +72,11 @@ type file = { seed : int; max_steps : int; trace : t }
 
 val save : path:string -> seed:int -> max_steps:int -> t -> unit
 val load : path:string -> file
-(** Raises [Failure] on bad magic or a truncated file. *)
+(** Raises [Failure "Trace.load: ..."] on a corrupt file: bad magic, a
+    truncated file, a varint longer than 9 bytes, a stream length beyond
+    the end of the file, a cond count that does not fill its stream
+    ([ceil (n_conds / 8)] bytes), more choices than choice bytes, or
+    trailing bytes.  Streams grow as their bytes are read, so a corrupt
+    length costs no more memory than the file holds; [path] may be a
+    pipe.  A trace that loads can still fail in {!Replay} (a [steps]
+    count past its decisions, an out-of-range choice). *)

@@ -20,8 +20,10 @@ let canonical_decision (linear : Linear.t) =
     linear.Linear.blocks;
   Decision.of_order ~neither order
 
-let check ?(eps = 1e-6) ?sim ~arch ?table ~visits ~cond_counts ~proc_id
-    (linear : Linear.t) =
+(* Savings at or below this many cycles are floating-point noise. *)
+let eps = 1e-6
+
+let check ?sim ~arch ~visits ~cond_counts ~proc_id (linear : Linear.t) =
   let p = linear.Linear.proc in
   let proc_name = p.Proc.name in
   let n = Array.length linear.Linear.blocks in
@@ -32,9 +34,7 @@ let check ?(eps = 1e-6) ?sim ~arch ?table ~visits ~cond_counts ~proc_id
      pass.  [Model.preview] is bit-equal to pricing the freshly lowered
      variant, so the findings are identical to the historical
      re-lower-everything auditor. *)
-  let model =
-    Ba_delta.Model.create ~arch ?table ~visits ~cond_counts p base_decision
-  in
+  let model = Ba_delta.Model.create ~arch ~visits ~cond_counts p base_decision in
   let base = Ba_delta.Model.total model in
   let sim_base = match sim with None -> 0 | Some f -> f base_decision in
   let diags = ref [] in

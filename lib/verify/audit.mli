@@ -31,15 +31,14 @@ val canonical_decision : Ba_layout.Linear.t -> Ba_layout.Decision.t
     current jump leg. *)
 
 val check :
-  ?eps:float ->
   ?sim:(Ba_layout.Decision.t -> int) ->
   arch:Ba_core.Cost_model.arch ->
-  ?table:Ba_core.Cost_model.table ->
   visits:(Ba_ir.Term.block_id -> int) ->
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   proc_id:Ba_ir.Term.proc_id ->
   Ba_layout.Linear.t ->
   Ba_analysis.Diagnostic.t list
-(** Findings for every strictly improving move (saving > [eps], default
-    1e-6 cycles), sorted.  The input must have passed {!Bisim.verify};
-    behaviour on unverified code is unspecified. *)
+(** Findings for every strictly improving move (saving > 1e-6 cycles
+    under {!Ba_core.Cost_model.default_table}), sorted.  The input must
+    have passed {!Bisim.verify}; behaviour on unverified code is
+    unspecified. *)

@@ -1,8 +1,8 @@
 open Ba_layout
 open Ba_core
 
-let recompute ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
-    (linear : Linear.t) (w : Bisim.witness) =
+let recompute ~arch ~visits ~cond_counts (linear : Linear.t) (w : Bisim.witness) =
+  let table = Cost_model.default_table in
   let uncond_c = Cost_model.uncond_cost arch table in
   Array.mapi
     (fun pos real ->
@@ -32,10 +32,13 @@ let recompute ~arch ?(table = Cost_model.default_table) ~visits ~cond_counts
       | Bisim.W_halt -> v *. table.Cost_model.instruction)
     w.Bisim.reals
 
-let certify ?(tolerance = 1e-9) ~arch ?table ~visits ~cond_counts ~proc_id
-    (linear : Linear.t) (w : Bisim.witness) =
-  let mine = recompute ~arch ?table ~visits ~cond_counts linear w in
-  let theirs = Layout_cost.per_block ~arch ?table ~visits ~cond_counts linear in
+(* Relative agreement demanded of each position, above a 1e-6 absolute
+   floor. *)
+let tolerance = 1e-9
+
+let certify ~arch ~visits ~cond_counts ~proc_id (linear : Linear.t) (w : Bisim.witness) =
+  let mine = recompute ~arch ~visits ~cond_counts linear w in
+  let theirs = Layout_cost.per_block ~arch ~visits ~cond_counts linear in
   let proc_name = linear.Linear.proc.Ba_ir.Proc.name in
   let diags = ref [] in
   Array.iteri

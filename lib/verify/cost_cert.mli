@@ -14,25 +14,23 @@
 
 val recompute :
   arch:Ba_core.Cost_model.arch ->
-  ?table:Ba_core.Cost_model.table ->
   visits:(Ba_ir.Term.block_id -> int) ->
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   Ba_layout.Linear.t ->
   Bisim.witness ->
   float array
-(** Expected branch cycles per layout position, computed from the witness
-    and the profile alone. *)
+(** Expected branch cycles per layout position under
+    {!Ba_core.Cost_model.default_table}, computed from the witness and the
+    profile alone. *)
 
 val certify :
-  ?tolerance:float ->
   arch:Ba_core.Cost_model.arch ->
-  ?table:Ba_core.Cost_model.table ->
   visits:(Ba_ir.Term.block_id -> int) ->
   cond_counts:(Ba_ir.Term.block_id -> int * int) ->
   proc_id:Ba_ir.Term.proc_id ->
   Ba_layout.Linear.t ->
   Bisim.witness ->
   (float, Ba_analysis.Diagnostic.t list) result
-(** [Ok total] when every position agrees within [tolerance] (relative,
-    default 1e-9, with a 1e-6 absolute floor); [Error] localises each
-    divergent site. *)
+(** [Ok total] when every position agrees with
+    {!Ba_core.Layout_cost.per_block} within a relative 1e-9, with a 1e-6
+    absolute floor; [Error] localises each divergent site. *)

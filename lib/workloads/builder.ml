@@ -57,10 +57,10 @@ let seq pb builders =
     in
     { entry = r0.entry; patch_next = last.patch_next }
 
-let while_loop ?(header_insns = 2) ?behavior pb ~trips ~body =
+let while_loop ?behavior pb ~trips ~body =
   if trips < 1 then invalid_arg "Builder.while_loop: trips must be positive";
   let behavior = match behavior with Some b -> b | None -> Behavior.Loop trips in
-  let header = add pb ~insns:header_insns in
+  let header = add pb ~insns:2 in
   let body_region = body pb in
   body_region.patch_next header;
   {
@@ -87,10 +87,10 @@ let do_while ?(latch_insns = 2) ?behavior pb ~trips ~body =
             (Term.Cond { on_true = body_region.entry; on_false = next; behavior }));
   }
 
-let driver ?(prologue_insns = 6) ?behavior pb ~trips ~body =
+let driver ?behavior pb ~trips ~body =
   seq pb
     [
-      (fun pb -> basic pb ~insns:prologue_insns ());
+      (fun pb -> basic pb ~insns:6 ());
       (fun pb -> while_loop ?behavior pb ~trips ~body);
     ]
 
@@ -106,9 +106,9 @@ let self_loop ?(insns = 11) pb ~trips =
             (Term.Cond { on_true = b; on_false = next; behavior = Behavior.Loop trips }));
   }
 
-let if_else ?(cond_insns = 3) ?behavior pb ~p_true ~then_ ~else_ =
+let if_else ?behavior pb ~p_true ~then_ ~else_ =
   let behavior = match behavior with Some b -> b | None -> Behavior.Bias p_true in
-  let cond = add pb ~insns:cond_insns in
+  let cond = add pb ~insns:3 in
   let then_region = then_ pb in
   let else_region = else_ pb in
   set_term pb cond

@@ -50,15 +50,15 @@ val seq : pb -> (pb -> region) list -> region
     non-empty. *)
 
 val while_loop :
-  ?header_insns:int ->
   ?behavior:Ba_ir.Behavior.t ->
   pb ->
   trips:int ->
   body:(pb -> region) ->
   region
-(** Top-tested loop: [header: if done goto exit; body; goto header].  The
-    default behaviour is [Loop trips]; pass [behavior] for data-dependent
-    continuation tests (its [true] outcome means "continue"). *)
+(** Top-tested loop: [header: if done goto exit; body; goto header], with
+    a 2-instruction header.  The default behaviour is [Loop trips]; pass
+    [behavior] for data-dependent continuation tests (its [true] outcome
+    means "continue"). *)
 
 val do_while :
   ?latch_insns:int ->
@@ -72,13 +72,13 @@ val do_while :
     taken-rate pattern of Fortran inner loops. *)
 
 val driver :
-  ?prologue_insns:int ->
   ?behavior:Ba_ir.Behavior.t ->
   pb ->
   trips:int ->
   body:(pb -> region) ->
   region
-(** A program's main loop: a short prologue block (setup/argument parsing)
+(** A program's main loop: a short prologue block (6 instructions of
+    setup/argument parsing)
     followed by a top-tested loop.  The prologue matters structurally: it
     keeps the loop header off the procedure's pinned entry address, so
     alignment is free to rotate the loop. *)
@@ -88,15 +88,14 @@ val self_loop : ?insns:int -> pb -> trips:int -> region
     pattern of the paper's Figure 2. *)
 
 val if_else :
-  ?cond_insns:int ->
   ?behavior:Ba_ir.Behavior.t ->
   pb ->
   p_true:float ->
   then_:(pb -> region) ->
   else_:(pb -> region) ->
   region
-(** Two-armed conditional; the then-arm falls through when the condition
-    holds.  Default behaviour is [Bias p_true]. *)
+(** Two-armed conditional behind a 3-instruction test block; the then-arm
+    falls through when the condition holds.  Default behaviour is [Bias p_true]. *)
 
 val if_then :
   ?cond_insns:int ->
@@ -105,7 +104,8 @@ val if_then :
   p_true:float ->
   then_:(pb -> region) ->
   region
-(** One-armed conditional: the false edge skips the arm. *)
+(** One-armed conditional: the false edge skips the arm.  The test block
+    has [cond_insns] instructions (default 3). *)
 
 val switch :
   ?insns:int -> pb -> cases:(float * (pb -> region)) list -> region

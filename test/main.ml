@@ -1,4 +1,5 @@
 let () =
+  Test_serve.serve_child_if_requested ();
   Alcotest.run "branch_alignment"
     (List.concat
        [ Test_util.suites; Test_ir.suites; Test_cfg.suites; Test_layout.suites;

@@ -313,8 +313,7 @@ let socket_path =
     incr n;
     Printf.sprintf "/tmp/ba-ts-%d-%d.sock" (Unix.getpid ()) !n
 
-let start_server ?(jobs = 2) ?(queue_len = 256) ?(batch_max = 64)
-    ?(install_signals = false) () =
+let start_server ?(jobs = 2) ?(queue_len = 256) ?(batch_max = 64) () =
   let sock = socket_path () in
   let cfg =
     {
@@ -322,7 +321,7 @@ let start_server ?(jobs = 2) ?(queue_len = 256) ?(batch_max = 64)
       jobs = Some jobs;
       queue_len;
       batch_max;
-      install_signals;
+      install_signals = false;
     }
   in
   (sock, Ba_serve.Server.start cfg)
@@ -492,10 +491,56 @@ let test_server_overload () =
   Ba_serve.Client.close cl;
   Ba_serve.Server.stop h
 
+(* The SIGTERM case signals a server in a child process — this test binary
+   re-executed with [serve_env] naming the socket — so the signal can never
+   reach the test runner itself. *)
+let serve_env = "BA_TEST_SERVE_SOCKET"
+
+let serve_child_if_requested () =
+  match Sys.getenv_opt serve_env with
+  | None -> ()
+  | Some socket_path ->
+    Ba_serve.Server.run
+      { (Ba_serve.Server.default_config ~socket_path) with jobs = Some 2 };
+    exit 0
+
 (* SIGTERM must drain: answered work stays answered, the connection sees a
-   clean EOF (not a reset), and the socket is unlinked. *)
+   clean EOF (not a reset), the socket is unlinked, and the server exits
+   0.  A failed assertion still kills and reaps the child. *)
 let test_server_sigterm_drain () =
-  let sock, h = start_server ~install_signals:true () in
+  let sock = socket_path () in
+  let pid =
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name |]
+      (Array.append [| serve_env ^ "=" ^ sock |] (Unix.environment ()))
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let status = ref None in
+  let reap flags =
+    match Unix.waitpid flags pid with
+    | 0, _ -> ()
+    | _, st -> status := Some st
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if !status = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        reap []
+      end;
+      if Sys.file_exists sock then Sys.remove sock)
+  @@ fun () ->
+  (* The child starts a whole test executable before it binds: wait for
+     the socket file (up to 30 s) rather than for the client's retries. *)
+  let rec await_socket tries =
+    reap [ Unix.WNOHANG ];
+    if !status <> None then Alcotest.fail "server exited before binding";
+    if not (Sys.file_exists sock) then
+      if tries = 0 then Alcotest.fail "server never bound its socket"
+      else begin
+        Unix.sleepf 0.02;
+        await_socket (tries - 1)
+      end
+  in
+  await_socket 1500;
   let cl = Ba_serve.Client.connect sock in
   let pong = Ba_serve.Client.call cl (P.request ~id:1 P.Ping) in
   Alcotest.(check bool) "ping before signal" true (pong.P.status = P.Ok_);
@@ -504,11 +549,12 @@ let test_server_sigterm_drain () =
       (P.request ~workload:"wave5" ~max_steps:4000 ~id:2 P.Align)
   in
   Alcotest.(check bool) "align before signal" true (al.P.status = P.Ok_);
-  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  Unix.kill pid Sys.sigterm;
   Alcotest.(check bool) "clean EOF after drain" true
     (Ba_serve.Client.recv cl = None);
   Ba_serve.Client.close cl;
-  Ba_serve.Server.stop h;
+  reap [];
+  Alcotest.(check bool) "server exits 0" true (!status = Some (Unix.WEXITED 0));
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
 
 let suites =

@@ -297,6 +297,83 @@ let test_disk_bad_magic () =
       | _ -> Alcotest.fail "bad magic accepted"
       | exception Failure _ -> ())
 
+(* -- corrupt files ---------------------------------------------------------- *)
+
+(* A BAST1 file of a real 2k-step wave5 trace, written field by field so
+   each case can lie about one field.  A header field is [`V n] (an
+   unsigned LEB128 varint) or [`Raw s] (bytes as given). *)
+let with_patched_file ~patch f =
+  let wave5 = Option.get (Ba_workloads.Spec.by_name "wave5") in
+  let program = wave5.Ba_workloads.Spec.build () in
+  let _profile, t = Ba_trace.Record.profile_and_record ~max_steps:2_000 program in
+  let open Ba_trace.Trace in
+  let fields =
+    [
+      ("seed", `V (program.Program.seed lsl 1));
+      ("max_steps", `V 2_000);
+      ("steps", `V t.steps);
+      ("completed", `Raw (if t.completed then "\001" else "\000"));
+      ("n_conds", `V t.n_conds);
+      ("conds_len", `V (Bytes.length t.conds));
+      ("conds", `Raw (Bytes.to_string t.conds));
+      ("n_choices", `V t.n_choices);
+      ("choices_len", `V (Bytes.length t.choices));
+      ("choices", `Raw (Bytes.to_string t.choices));
+    ]
+  in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "BAST1\n";
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
+      varint (n lsr 7)
+    end
+  in
+  List.iter
+    (fun (name, field) ->
+      match patch name field with `V n -> varint n | `Raw s -> Buffer.add_string buf s)
+    fields;
+  let path = Filename.temp_file "ba_trace" ".bast" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf);
+      f ~path t)
+
+(* The unpatched file is a valid trace, so each corrupt case fails on its
+   one lie alone. *)
+let test_disk_fields_roundtrip () =
+  with_patched_file ~patch:(fun _ field -> field) (fun ~path t ->
+      Alcotest.(check bool) "trace round-trips" true
+        ((Ba_trace.Trace.load ~path).Ba_trace.Trace.trace = t))
+
+let corrupt_file_fails ~patch () =
+  with_patched_file ~patch (fun ~path _ ->
+      match Ba_trace.Trace.load ~path with
+      | _ -> Alcotest.fail "corrupt trace accepted"
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names Trace.load" msg)
+          true
+          (String.starts_with ~prefix:"Trace.load: " msg))
+
+let test_disk_huge_cond_length =
+  corrupt_file_fails ~patch:(fun name field ->
+      if name = "conds_len" then `V (1 lsl 42) else field)
+
+let test_disk_overlong_varint =
+  corrupt_file_fails ~patch:(fun name field ->
+      if name = "n_conds" then `Raw (String.make 12 '\xff') else field)
+
+let test_disk_inflated_cond_count =
+  corrupt_file_fails ~patch:(fun name field ->
+      match (name, field) with "n_conds", `V n -> `V (100 * n) | _ -> field)
+
+let test_disk_trailing_bytes =
+  corrupt_file_fails ~patch:(fun name field ->
+      match (name, field) with "choices", `Raw s -> `Raw (s ^ "\000") | _ -> field)
+
 (* -- record-once memo gate ------------------------------------------------- *)
 
 (* The tentpole promise, asserted on the real harness: one full workload
@@ -508,6 +585,15 @@ let suites =
           test_builder_varints;
         Alcotest.test_case "disk round-trip" `Quick test_disk_roundtrip;
         Alcotest.test_case "bad magic rejected" `Quick test_disk_bad_magic;
+        Alcotest.test_case "field-by-field file round-trips" `Quick
+          test_disk_fields_roundtrip;
+        Alcotest.test_case "cond length past end of file rejected" `Quick
+          test_disk_huge_cond_length;
+        Alcotest.test_case "overlong varint rejected" `Quick
+          test_disk_overlong_varint;
+        Alcotest.test_case "inflated cond count rejected" `Quick
+          test_disk_inflated_cond_count;
+        Alcotest.test_case "trailing bytes rejected" `Quick test_disk_trailing_bytes;
       ] );
     ( "trace.replay",
       [
