@@ -322,11 +322,7 @@ let disasm_cmd name algo arch proc_id max_steps =
       (Ba_ir.Program.n_procs program);
     exit 1
   end;
-  let fp_fraction =
-    match workload.Ba_workloads.Spec.cls with
-    | Ba_workloads.Spec.Fp -> 0.5
-    | Ba_workloads.Spec.Int | Ba_workloads.Spec.Other -> 0.08
-  in
+  let fp_fraction = Ba_workloads.Spec.fp_fraction workload.Ba_workloads.Spec.cls in
   let original =
     Ba_isa.Codegen.of_image ~fp_fraction (Ba_layout.Image.original ~profile program)
   in

@@ -5,7 +5,7 @@ open Ba_sim
 
 (* Simulator-exact candidate pricing.
 
-   [Stream.build] walks the trace once; after that, pricing a candidate
+   [Stream.build] replays the trace once; after that, pricing a candidate
    layout is a function of its geometry (block addresses, operand values,
    branch senses) and, for the BTB, of the trace itself.  Per architecture
    family:

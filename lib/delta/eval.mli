@@ -1,7 +1,7 @@
 (** Simulator-exact incremental candidate pricing.
 
-    One {!Stream.build} pass over the recorded trace summarises everything
-    the static rules and the tables read.  {!cost} then returns, per
+    One {!Stream.build} (a single {!Ba_trace.Replay.run} over the identity
+    layout) summarises everything the static rules and the tables read.  {!cost} then returns, per
     requested architecture, {e exactly} the integer penalty cycles
     {!Ba_sim.Runner.simulate} would report for a full replay of the trace
     on that layout ([Bep.bep]) — the differential wall in [test_delta.ml]
@@ -55,7 +55,7 @@ val create :
   Ba_trace.Trace.t ->
   Ba_layout.Decision.t array ->
   t
-(** [create ~specs profile trace base] walks the trace once
+(** [create ~specs profile trace base] replays the trace once
     ({!Stream.build}), keeps it for the BTB replays, and prices the base
     layout's conditional substreams so later candidates near [base] hit
     the cached paths.  Candidates are priced at the paper's penalties

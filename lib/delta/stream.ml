@@ -1,7 +1,8 @@
+open Ba_exec
 open Ba_trace
 
-(* Layout-independent execution summaries, extracted from one replay-shaped
-   walk of the trace over the program's original image.
+(* Layout-independent execution summaries, extracted from one replay of
+   the trace over the program's original image.
 
    A {e site} is a semantic block, numbered [pbase.(proc) + block] — the
    global position the block has in the identity layout, which is also
@@ -45,14 +46,16 @@ module Grow = struct
   let finish t = Array.sub t.a 0 t.len
 end
 
-(* Mirrors [Replay.run]'s control flow over the identity layout, where
-   global position = site.  Any drift from the replayer here would show up
-   as a penalty mismatch in the differential wall. *)
+(* One [Replay.run] over the identity layout, where global position =
+   site.  Blocks are keyed by start address and branch events by the pc of
+   the terminator that emitted them: every block holds at least one
+   instruction, so the two are distinct addresses, and one table maps both
+   to the site.  Inserted jumps and return-leg jumps own no site; they
+   emit only unconditional events, which carry nothing the summaries need. *)
 let build program (tr : Trace.t) =
   let flat = Flat.of_image (Ba_layout.Image.original program) in
-  let opcode = flat.Flat.opcode in
-  let fa = flat.Flat.a and fb = flat.Flat.b and fc = flat.Flat.c in
-  let succ = flat.Flat.succ in
+  let opcode = flat.Flat.opcode and addr = flat.Flat.addr in
+  let insns = flat.Flat.insns and fb = flat.Flat.b in
   let pbase = flat.Flat.pbase in
   let n_sites = Array.length opcode in
   let site_proc = Array.make n_sites 0 in
@@ -65,113 +68,59 @@ let build program (tr : Trace.t) =
       site_block.(s) <- s - pbase.(p)
     done
   done;
+  (* past the last terminator and its inserted jump *)
+  let code_end = ref 0 in
+  for s = 0 to n_sites - 1 do
+    code_end := Int.max !code_end (addr.(s) + insns.(s) + 2)
+  done;
+  let site_at = Array.make !code_end (-1) in
+  for s = 0 to n_sites - 1 do
+    site_at.(addr.(s)) <- s;
+    if opcode.(s) <> Flat.onone then site_at.(addr.(s) + insns.(s)) <- s
+  done;
   let ras_recs = Grow.create () in
   let cond_recs = Grow.create () in
+  let frames = Grow.create () in
   let n_exec = Array.make n_sites 0 in
   let n_true = Array.make n_sites 0 in
   let n_false = Array.make n_sites 0 in
   let n_rets_to = Array.make n_sites 0 in
   let n_underflow = ref 0 in
   let max_depth = ref 0 in
-  (* decision cursors, as in Replay.run *)
-  let conds = tr.Trace.conds in
-  let cond_i = ref 0 in
-  let next_outcome () =
-    let i = !cond_i in
-    if i >= tr.Trace.n_conds then
-      failwith "Ba_delta.Stream: trace exhausted (conditional outcomes)";
-    cond_i := i + 1;
-    (Char.code (Bytes.unsafe_get conds (i lsr 3)) lsr (i land 7)) land 1 = 1
+  let on_block ~addr ~size:_ =
+    let s = site_at.(addr) in
+    if s >= 0 then n_exec.(s) <- n_exec.(s) + 1
   in
-  let choice_bytes = tr.Trace.choices in
-  let choices_len = Bytes.length choice_bytes in
-  let choice_off = ref 0 in
-  let next_choice () =
-    let off = ref !choice_off in
-    let shift = ref 0 and acc = ref 0 and fin = ref false in
-    while not !fin do
-      if !off >= choices_len then
-        failwith "Ba_delta.Stream: trace exhausted (switch/vcall indices)";
-      let byte = Char.code (Bytes.unsafe_get choice_bytes !off) in
-      incr off;
-      acc := !acc lor ((byte land 0x7F) lsl !shift);
-      shift := !shift + 7;
-      if byte land 0x80 = 0 then fin := true
-    done;
-    choice_off := !off;
-    !acc
+  let on_event { Event.pc; kind; _ } =
+    match kind with
+    | Event.Cond { taken; _ } ->
+      let s = site_at.(pc) in
+      let outcome = taken = (fb.(s) = 1) in
+      Grow.push cond_recs ((s lsl 1) lor Bool.to_int outcome);
+      if outcome then n_true.(s) <- n_true.(s) + 1
+      else n_false.(s) <- n_false.(s) + 1
+    | Event.Call | Event.Indirect_call ->
+      Grow.push ras_recs (site_at.(pc) lsl 1);
+      Grow.push frames site_at.(pc);
+      max_depth := Int.max !max_depth frames.Grow.len
+    | Event.Ret when frames.Grow.len = 0 ->
+      Grow.push ras_recs 1;
+      incr n_underflow
+    | Event.Ret ->
+      frames.Grow.len <- frames.Grow.len - 1;
+      let f = frames.Grow.a.(frames.Grow.len) in
+      Grow.push ras_recs (((f + 1) lsl 1) lor 1);
+      n_rets_to.(f) <- n_rets_to.(f) + 1
+    | Event.Uncond | Event.Indirect_jump -> ()
   in
-  (* frame stack of (call site, resume site) *)
-  let cap = ref 64 in
-  let s_site = ref (Array.make !cap 0) in
-  let s_res = ref (Array.make !cap 0) in
-  let sp = ref 0 in
-  let push site resume =
-    if !sp = !cap then begin
-      let cap' = !cap * 2 in
-      let a = Array.make cap' 0 and r = Array.make cap' 0 in
-      Array.blit !s_site 0 a 0 !cap;
-      Array.blit !s_res 0 r 0 !cap;
-      s_site := a;
-      s_res := r;
-      cap := cap'
-    end;
-    !s_site.(!sp) <- site;
-    !s_res.(!sp) <- resume;
-    incr sp;
-    if !sp > !max_depth then max_depth := !sp
-  in
-  let budget = tr.Trace.steps in
-  let steps = ref 0 in
-  let g = ref flat.Flat.entry in
-  let running = ref true in
-  while !running && !steps < budget do
-    let gp = !g in
-    incr steps;
-    n_exec.(gp) <- n_exec.(gp) + 1;
-    let op = opcode.(gp) in
-    if op = Flat.onone then g := gp + 1
-    else if op = Flat.ocond then begin
-      let outcome = next_outcome () in
-      Grow.push cond_recs ((gp lsl 1) lor (if outcome then 1 else 0));
-      if outcome then n_true.(gp) <- n_true.(gp) + 1
-      else n_false.(gp) <- n_false.(gp) + 1;
-      if outcome = (fb.(gp) = 1) then g := fa.(gp)
-      else begin
-        let j = fc.(gp) in
-        if j < 0 then g := gp + 1 else g := j
-      end
-    end
-    else if op = Flat.ojump then g := fa.(gp)
-    else if op = Flat.oswitch then g := succ.(fa.(gp) + next_choice ())
-    else if op = Flat.ocall || op = Flat.ovcall then begin
-      Grow.push ras_recs (gp lsl 1);
-      push gp fc.(gp);
-      g := if op = Flat.ocall then fa.(gp) else succ.(fa.(gp) + next_choice ())
-    end
-    else if op = Flat.oret then begin
-      if !sp = 0 then begin
-        Grow.push ras_recs 1;
-        incr n_underflow;
-        running := false
-      end
-      else begin
-        decr sp;
-        let f = !s_site.(!sp) in
-        Grow.push ras_recs (((f + 1) lsl 1) lor 1);
-        n_rets_to.(f) <- n_rets_to.(f) + 1;
-        g := !s_res.(!sp)
-      end
-    end
-    else (* ohalt *) running := false
-  done;
+  ignore (Replay.run ~on_event ~on_block flat tr : Engine.result);
   {
     program;
     pbase;
     n_sites;
     site_proc;
     site_block;
-    opcode = Array.copy opcode;
+    opcode;
     ras_recs = Grow.finish ras_recs;
     cond_recs = Grow.finish cond_recs;
     n_exec;

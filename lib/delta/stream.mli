@@ -1,9 +1,10 @@
 (** Layout-independent execution summaries.
 
-    One replay-shaped pass over the recorded trace (driven on the
-    program's identity layout, where global position = site id) yields
-    per-site counts plus the conditional-direction and call/return
-    substreams.  Everything here is a function of the program and the
+    One {!Ba_trace.Replay.run} of the recorded trace over the program's
+    identity layout, where global position = site id, yields per-site
+    counts plus the conditional-direction and call/return substreams.
+    The replayer is the only trace decoder; this module only consumes its
+    block and branch events.  Everything here is a function of the program and the
     semantic trace only — no candidate layout's addresses appear — so one
     [build] serves every layout {!Eval} prices. *)
 
@@ -28,6 +29,5 @@ type t = {
 }
 
 val build : Ba_ir.Program.t -> Ba_trace.Trace.t -> t
-(** Walks the trace once, mirroring {!Ba_trace.Replay.run}'s control flow
-    exactly (budget, early halt, frame stack).  Raises [Failure] on a
-    truncated trace, as the replayer would. *)
+(** Replays the trace once.  Raises the replayer's [Failure] on a
+    truncated trace or a choice out of range. *)

@@ -139,11 +139,7 @@ let evaluate ?max_steps (workload : Ba_workloads.Spec.t) =
     if List.mem workload.Ba_workloads.Spec.name Ba_workloads.Spec.spec_c_programs then begin
       (* Numeric programs carry a high floating-point share, which pairs
          with integer-pipe work on the dual-issue 21064. *)
-      let fp_fraction =
-        match workload.Ba_workloads.Spec.cls with
-        | Ba_workloads.Spec.Fp -> 0.5
-        | Ba_workloads.Spec.Int | Ba_workloads.Spec.Other -> 0.08
-      in
+      let fp_fraction = Ba_workloads.Spec.fp_fraction workload.Ba_workloads.Spec.cls in
       let run_alpha image =
         let result, alpha = Runner.simulate_alpha ~max_steps ~fp_fraction ~trace image in
         Alpha.cycles alpha ~insns:result.Ba_exec.Engine.insns

@@ -103,12 +103,18 @@ let align ~anneal algo ~arch ~max_steps workload =
         { proc = p; name = proc.Ba_ir.Proc.name; order = d.Ba_layout.Decision.order;
           forced; cost })
   in
+  (* One replay of the one layout, on the architecture that judges [arch]. *)
   let spec = Ba_delta.Eval.spec_of_model arch in
-  let ev = Ba_delta.Eval.create ~specs:[| spec |] profile trace decisions in
+  let image = Ba_layout.Image.build ~profile program decisions in
+  let out =
+    Ba_sim.Runner.simulate ~trace
+      ~archs:[ Ba_delta.Eval.to_arch spec ~image ~profile ]
+      image
+  in
   {
     procs;
     (* Summed in procedure order, as the listing prints them. *)
     total_cost = List.fold_left (fun acc p -> acc +. p.cost) 0.0 procs;
     penalty_model = Ba_delta.Eval.spec_label spec;
-    penalty_cycles = Ba_delta.Eval.cost_arch ev 0 decisions;
+    penalty_cycles = Ba_sim.Bep.bep (snd out.Ba_sim.Runner.sims.(0));
   }

@@ -87,7 +87,9 @@ type listing = {
   total_cost : float;
   penalty_model : string;  (** {!Ba_delta.Eval.spec_label} of [arch] *)
   penalty_cycles : int;
-      (** exact simulated penalty cycles ({!Ba_delta.Eval.cost_arch}) *)
+      (** exact penalty cycles ([Bep.bep]) of one trace replay of the
+          layout on [arch]'s simulated architecture
+          ({!Ba_delta.Eval.spec_of_model}) *)
 }
 
 val align :

@@ -11,6 +11,7 @@ type t = {
   b : int array;
   c : int array;
   succ : int array;
+  arity : int array;
 }
 
 let onone = 0
@@ -38,6 +39,7 @@ let of_image (image : Image.t) =
   let a = Array.make n (-1) in
   let b = Array.make n (-1) in
   let c = Array.make n (-1) in
+  let arity = Array.make n 0 in
   (* successor pool: switch positions and vcall callee entries, as global
      positions *)
   let pool_len =
@@ -83,7 +85,7 @@ let of_image (image : Image.t) =
         | Linear.Lswitch { positions; _ } ->
           opcode.(g) <- oswitch;
           a.(g) <- !pool_next;
-          b.(g) <- Array.length positions;
+          arity.(g) <- Array.length positions;
           Array.iter
             (fun target ->
               succ.(!pool_next) <- base + target;
@@ -98,6 +100,7 @@ let of_image (image : Image.t) =
         | Linear.Lvcall { callees; cont; _ } ->
           opcode.(g) <- ovcall;
           a.(g) <- !pool_next;
+          arity.(g) <- Array.length callees;
           Array.iter
             (fun callee ->
               succ.(!pool_next) <- pbase.(callee);
@@ -121,4 +124,5 @@ let of_image (image : Image.t) =
     b;
     c;
     succ;
+    arity;
   }

@@ -17,6 +17,9 @@ type t = {
   b : int array;  (** secondary operand *)
   c : int array;  (** tertiary operand *)
   succ : int array;  (** shared successor pool for switch/vcall targets *)
+  arity : int array;
+      (** successor count of a switch or vcall, [0] for every other block:
+          a recorded choice must lie below it *)
 }
 
 (** Opcodes and operand meaning ([g] is the block's global position):
@@ -25,12 +28,12 @@ type t = {
     - [ojump]: [a] = target global position.
     - [ocond]: [a] = taken global position, [b] = 1 iff taken on [true],
       [c] = inserted-jump global position or [-1] for fall-through.
-    - [oswitch]: [a] = offset into [succ], [b] = target count.
+    - [oswitch]: [a] = offset into [succ]; [arity] targets.
     - [ocall]: [a] = callee entry global position, [b] = return-jump pc or
       [-1] when the continuation falls through, [c] = resume global
       position.
     - [ovcall]: [a] = offset into [succ] (callee entry global positions),
-      [b]/[c] as [ocall]; target count is implicit in the trace.
+      [b]/[c] as [ocall]; [arity] callees.
     - [oret], [ohalt]: no operands. *)
 
 val onone : int

@@ -11,7 +11,7 @@ let run ?(on_event = fun _ -> ()) ?(on_block = fun ~addr:_ ~size:_ -> ())
   let insns_of = flat.Flat.insns in
   let opcode = flat.Flat.opcode in
   let fa = flat.Flat.a and fb = flat.Flat.b and fc = flat.Flat.c in
-  let succ = flat.Flat.succ in
+  let succ = flat.Flat.succ and arity = flat.Flat.arity in
   (* one scratch event, mutated in place *)
   let cond_kind = Event.Cond { taken = false; taken_target = 0 } in
   let scratch = { Event.pc = 0; target = 0; kind = Event.Uncond } in
@@ -44,7 +44,8 @@ let run ?(on_event = fun _ -> ()) ?(on_block = fun ~addr:_ ~size:_ -> ())
   let choices = tr.Trace.choices in
   let choices_len = Bytes.length choices in
   let choice_off = ref 0 in
-  let next_choice () =
+  (* the successor block chosen at switch or vcall [gp] *)
+  let next_choice gp =
     let off = ref !choice_off in
     let shift = ref 0 and acc = ref 0 and fin = ref false in
     while not !fin do
@@ -57,7 +58,9 @@ let run ?(on_event = fun _ -> ()) ?(on_block = fun ~addr:_ ~size:_ -> ())
       if byte land 0x80 = 0 then fin := true
     done;
     choice_off := !off;
-    !acc
+    let k = !acc in
+    if k < 0 || k >= arity.(gp) then failwith "Replay: choice out of range";
+    succ.(fa.(gp) + k)
   in
   (* call stack as a pair of int arrays: (jump_pc or -1, resume gpos) *)
   let cap = ref 64 in
@@ -121,7 +124,7 @@ let run ?(on_event = fun _ -> ()) ?(on_block = fun ~addr:_ ~size:_ -> ())
     end
     else if op = Flat.oswitch then begin
       incr insns;
-      let target = succ.(fa.(gp) + next_choice ()) in
+      let target = next_choice gp in
       emit pc addr.(target) Event.Indirect_jump;
       g := target
     end
@@ -134,7 +137,7 @@ let run ?(on_event = fun _ -> ()) ?(on_block = fun ~addr:_ ~size:_ -> ())
     end
     else if op = Flat.ovcall then begin
       incr insns;
-      let callee = succ.(fa.(gp) + next_choice ()) in
+      let callee = next_choice gp in
       emit pc addr.(callee) Event.Indirect_call;
       push fb.(gp) fc.(gp);
       g := callee

@@ -18,4 +18,7 @@ val run :
   Trace.t ->
   Ba_exec.Engine.result
 (** Raises [Failure] if the trace runs out of decisions for the image —
-    the sign of a trace recorded for a different program or budget. *)
+    the sign of a trace recorded for a different program or budget — and
+    [Failure "Replay: choice out of range"] on a switch or vcall index at
+    or past the site's [Flat.arity], so a corrupt choice can never take
+    a neighbouring site's successor. *)

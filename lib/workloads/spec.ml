@@ -1,6 +1,7 @@
 type cls = Fp | Int | Other
 
 let cls_name = function Fp -> "SPECfp92" | Int -> "SPECint92" | Other -> "Other"
+let fp_fraction = function Fp -> 0.5 | Int | Other -> 0.08
 
 type t = {
   name : string;

@@ -14,6 +14,12 @@ type cls = Fp | Int | Other
 
 val cls_name : cls -> string
 
+val fp_fraction : cls -> float
+(** Floating-point share of the class's instruction mix, as
+    {!Ba_isa.Codegen} materialises it for the dual-issue 21064 model and
+    the disassembler: numeric programs pair FP work with the integer
+    pipe. *)
+
 type t = {
   name : string;
   cls : cls;

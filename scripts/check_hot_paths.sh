@@ -8,6 +8,12 @@
 # lib/sim/bep.ml, lib/sim/alpha.ml, lib/trace/replay.ml, lib/delta/eval.ml
 # or lib/delta/stream.ml (comments and string literals are ignored;
 # [Int.min], [Int.max] and [Int.compare] are fine).
+#
+# It also keeps the trace decoder in one place: [Ba_trace.Replay] is the
+# only code that turns a trace into events, and every other reader
+# (the simulator, the delta evaluator's [Stream.build], [trace replay])
+# consumes its events.  A read of the raw [Trace.conds] or [Trace.choices]
+# streams in lib/ or bin/ outside lib/trace/ fails the guard.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,5 +56,13 @@ done
 if [ "$status" -eq 0 ]; then
   echo "ok   no bare min/max/compare in lib/predict, lib/sim/{bep,alpha}.ml," \
     "lib/trace/replay.ml, lib/delta/{eval,stream}.ml"
+fi
+
+raw=$(grep -rnE '\.(conds|choices)\b' lib bin --include='*.ml' | grep -v '^lib/trace/' || true)
+if [ -n "$raw" ]; then
+  printf '%s\n' "$raw" | sed 's/$/  <- raw trace stream read outside lib\/trace (replay it instead)/'
+  status=1
+else
+  echo "ok   Trace.conds/Trace.choices read only in lib/trace/"
 fi
 exit $status

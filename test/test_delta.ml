@@ -478,6 +478,40 @@ let test_anneal_never_worse () =
       done)
     [ "eqntott"; "wave5"; "li" ]
 
+(* [Stream.build] against an independent source: the interpreter's own
+   profile of the same run.  Every site's execution count is its block's
+   visit count, and a conditional site's semantic outcomes split as the
+   profile's [cond_counts] do. *)
+let test_stream_matches_profile () =
+  List.iter
+    (fun w ->
+      let name = w.Ba_workloads.Spec.name in
+      let program, profile, trace =
+        Ba_workloads.Profiled.get_traced ~max_steps:wall_steps w
+      in
+      let st = Stream.build program trace in
+      let n_conds = ref 0 in
+      for s = 0 to st.Stream.n_sites - 1 do
+        let p = st.Stream.site_proc.(s) and b = st.Stream.site_block.(s) in
+        Alcotest.(check int)
+          (Printf.sprintf "%s site %d: n_exec = visits" name s)
+          (Ba_cfg.Profile.visits profile p b)
+          st.Stream.n_exec.(s);
+        if st.Stream.opcode.(s) = Ba_trace.Flat.ocond then begin
+          let t, f = Ba_cfg.Profile.cond_counts profile p b in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s site %d: outcomes = cond_counts" name s)
+            (t, f)
+            (st.Stream.n_true.(s), st.Stream.n_false.(s));
+          n_conds := !n_conds + t + f
+        end
+      done;
+      Alcotest.(check int)
+        (name ^ ": one cond record per profiled outcome")
+        !n_conds
+        (Array.length st.Stream.cond_recs))
+    Ba_workloads.Spec.all
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -491,6 +525,8 @@ let suites =
         Alcotest.test_case "shallow return stack replays calls and returns"
           `Quick test_shallow_return_stack;
         to_alcotest test_qcheck_differential;
+        Alcotest.test_case "stream counts = profile, 24 workloads" `Slow
+          test_stream_matches_profile;
       ] );
     ( "delta.algebra",
       [

@@ -374,6 +374,31 @@ let test_disk_trailing_bytes =
   corrupt_file_fails ~patch:(fun name field ->
       match (name, field) with "choices", `Raw s -> `Raw (s ^ "\000") | _ -> field)
 
+(* A choice past its site's arity must not take a neighbouring site's
+   successor from the shared pool.  idl's first recorded choice selects
+   among the three targets of a switch, so 3 still lands inside the pool;
+   the replayer, and through it [Stream.build], must refuse it. *)
+let test_replay_choice_out_of_range () =
+  let idl = Option.get (Ba_workloads.Spec.by_name "idl") in
+  let program, _profile, trace =
+    Ba_workloads.Profiled.get_traced ~max_steps:20_000 idl
+  in
+  let choices = Bytes.copy trace.Ba_trace.Trace.choices in
+  Alcotest.(check bool) "first choice is one in-range byte" true
+    (Char.code (Bytes.get choices 0) < 3);
+  Bytes.set choices 0 '\003';
+  let bad = { trace with Ba_trace.Trace.choices } in
+  let flat = Ba_trace.Flat.of_image (Image.original program) in
+  ignore (Ba_trace.Replay.run flat trace : Engine.result);
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted choice 3" what
+    | exception Failure msg ->
+      Alcotest.(check string) what "Replay: choice out of range" msg
+  in
+  refused "Replay.run" (fun () -> ignore (Ba_trace.Replay.run flat bad));
+  refused "Stream.build" (fun () -> ignore (Ba_delta.Stream.build program bad))
+
 (* -- record-once memo gate ------------------------------------------------- *)
 
 (* The tentpole promise, asserted on the real harness: one full workload
@@ -604,6 +629,8 @@ let suites =
           test_replay_truncation_mid_call;
         Alcotest.test_case "switch/vcall varints across layouts" `Quick
           test_replay_switch_vcall;
+        Alcotest.test_case "choice past the site's arity rejected" `Quick
+          test_replay_choice_out_of_range;
       ] );
     ( "trace.harness",
       [
